@@ -77,6 +77,18 @@ func BenchmarkInstrumentedQuery(b *testing.B) {
 	b.Run("hit", microbench.QueryInstrumentedHit)
 }
 
+// BenchmarkWireCodec prices the /v2/query response codecs on one
+// 4096-element window of the same list, with and without its proof:
+// encode plus decode, as a server answer and a client read cost them.
+// "json" is the operator codec, "frame" the binary one client.HTTP
+// speaks; B/resp is the encoded size.
+func BenchmarkWireCodec(b *testing.B) {
+	b.Run("json", microbench.WireCodecJSON)
+	b.Run("frame", microbench.WireCodecFrame)
+	b.Run("json-proof", microbench.WireCodecJSONProof)
+	b.Run("frame-proof", microbench.WireCodecFrameProof)
+}
+
 // BenchmarkProofQuery prices verifiable search on the same deep
 // follow-up windows as BenchmarkQueryCached: "proved" is the server
 // building an audited window (range multiproofs over the warmed

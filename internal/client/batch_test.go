@@ -114,8 +114,8 @@ func TestSearchBatchedOverHTTP(t *testing.T) {
 				qi, remoteStats.Rounds, remoteStats.Requests, localStats.Rounds, localStats.Requests)
 		}
 		// In process Bytes falls back to the codec estimate; over HTTP
-		// it is the measured JSON body size, which includes framing
-		// and base64 expansion and therefore exceeds the estimate.
+		// it is the measured response frame, whose per-element group,
+		// TRS and length prefix make it exceed the estimate.
 		estimate := localStats.Elements * h.cl.Codec().WireSize()
 		if localStats.Bytes != estimate {
 			t.Errorf("query %d: in-process bytes %d, want estimate %d", qi, localStats.Bytes, estimate)

@@ -29,6 +29,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"zerberr/internal/server"
 )
 
 // RetryPolicy tunes the transport's retry behavior. The zero value of
@@ -141,6 +143,11 @@ func retryable(status int, idempotent bool) bool {
 		// every operation.
 		return true
 	case status == 0, status >= 500:
+		return idempotent
+	case status == server.StatusClientClosedRequest:
+		// The server abandoned the request because its context ended
+		// while this caller was still waiting: a shutdown drain gave
+		// up on it. As ambiguous as a 5xx.
 		return idempotent
 	}
 	return false

@@ -58,7 +58,7 @@ type Transport interface {
 type BatchQueryResult struct {
 	Responses []server.QueryResponse
 	// WireBytes is the measured size of the encoded response body on
-	// transports that serialize (HTTP measures the actual JSON
+	// transports that serialize (HTTP measures the response frame's
 	// bytes); 0 in process, where nothing crosses a wire and callers
 	// fall back to the codec's per-element estimate.
 	WireBytes int
@@ -117,7 +117,14 @@ const DefaultHTTPTimeout = 30 * time.Second
 // transport can never block indefinitely on a dead peer.
 var defaultHTTPClient = &http.Client{Timeout: DefaultHTTPTimeout}
 
-// HTTP talks to a zerberd index server over its JSON API.
+// HTTP talks to a zerberd index server. The three batch operations
+// (QueryBatch, InsertBatch, RemoveBatch) always travel as binary frames
+// (server.FrameContentType, internal/server/frame.go); everything else
+// — Login, the v1 operations, Stats, the admin plane and every error
+// envelope — is JSON. A query response body is read into one buffer
+// and decoded from it; each sub-response's payloads then get one
+// buffer of their own, so a window the router cache keeps does not
+// pin the rest of the body.
 type HTTP struct {
 	// BaseURL is the server root, e.g. "http://host:8021".
 	BaseURL string
@@ -146,35 +153,52 @@ func (h HTTP) httpClient() *http.Client {
 	return defaultHTTPClient
 }
 
-// postJSON posts a request body and decodes the response into out,
-// translating error envelopes into errors. The request is bound to
-// ctx (http.NewRequestWithContext), so cancellation aborts it even
-// mid-flight or mid-backoff. It returns the size of the response body
-// in bytes (the actual wire cost of the answer). idempotent widens the
-// retry classification (see retry.go); only operations that are safe
-// to re-send after an ambiguous failure may pass true.
+// postJSON posts a JSON request body and decodes the JSON answer into
+// out (nil to ignore it), translating error envelopes into errors. It
+// returns the size of the response body in bytes (the actual wire cost
+// of the answer). idempotent widens the retry classification (see
+// retry.go); only operations that are safe to re-send after an
+// ambiguous failure may pass true.
 func (h HTTP) postJSON(ctx context.Context, path string, in, out interface{}, idempotent bool) (int, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return 0, fmt.Errorf("client: encoding request: %w", err)
 	}
-	return h.exchange(ctx, http.MethodPost, path, body, out, idempotent)
+	return h.exchangeJSON(ctx, http.MethodPost, path, body, out, idempotent)
 }
 
-// exchange runs one logical request through the retry loop. With no
-// policy installed it is exactly one attempt. A context canceled
-// mid-backoff surfaces as the context's error.
-func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, out interface{}, idempotent bool) (int, error) {
+// exchangeJSON runs exchange with a JSON body (or none) and decodes a
+// JSON answer into out.
+func (h HTTP) exchangeJSON(ctx context.Context, method, path string, body []byte, out interface{}, idempotent bool) (int, error) {
+	raw, err := h.exchange(ctx, method, path, body, "application/json", idempotent)
+	if err != nil {
+		return 0, err
+	}
+	if out != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
+			return len(raw), fmt.Errorf("client: %s: decoding response: %w", path, err)
+		}
+	}
+	return len(raw), nil
+}
+
+// exchange runs one logical request through the retry loop and returns
+// the body of the 200 answer. The request is bound to ctx
+// (http.NewRequestWithContext), so cancellation aborts it even
+// mid-flight or mid-backoff. With no policy installed it is exactly
+// one attempt. A context canceled mid-backoff surfaces as the
+// context's error.
+func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, contentType string, idempotent bool) ([]byte, error) {
 	for retry := 0; ; retry++ {
-		n, status, hint, err := h.doOnce(ctx, method, path, body, out)
+		raw, status, hint, err := h.doOnce(ctx, method, path, body, contentType)
 		if err == nil {
-			return n, nil
+			return raw, nil
 		}
 		if ctx.Err() != nil || retry >= h.Retry.maxRetries() || !retryable(status, idempotent) {
-			return n, err
+			return nil, err
 		}
 		if serr := sleepCtx(ctx, h.Retry.delay(retry, hint)); serr != nil {
-			return n, fmt.Errorf("client: %s: canceled while backing off: %w", path, serr)
+			return nil, fmt.Errorf("client: %s: canceled while backing off: %w", path, serr)
 		}
 	}
 }
@@ -182,37 +206,50 @@ func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, ou
 // doOnce is one attempt of exchange. status is the HTTP status of the
 // answer, or 0 when the exchange failed below HTTP (transport error);
 // hint is the server's Retry-After, when one came back.
-func (h HTTP) doOnce(ctx context.Context, method, path string, body []byte, out interface{}) (n, status int, hint time.Duration, err error) {
+func (h HTTP) doOnce(ctx context.Context, method, path string, body []byte, contentType string) (raw []byte, status int, hint time.Duration, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, h.BaseURL+path, rd)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: %s: %w", path, err)
+		return nil, 0, 0, fmt.Errorf("client: %s: %w", path, err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := h.httpClient().Do(req)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: %s: %w", path, err)
+		return nil, 0, 0, fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err = readResponse(resp)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: %s: reading response: %w", path, err)
+		return nil, 0, 0, fmt.Errorf("client: %s: reading response: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return len(raw), resp.StatusCode, retryAfter(resp.Header), h.decodeError(path, resp.StatusCode, raw)
+		return nil, resp.StatusCode, retryAfter(resp.Header), h.decodeError(path, resp.StatusCode, raw)
 	}
-	if out == nil {
-		return len(raw), http.StatusOK, 0, nil
+	return raw, http.StatusOK, 0, nil
+}
+
+// maxPreallocResponse bounds the buffer a declared Content-Length may
+// allocate before any of the body has arrived; a longer body is read
+// incrementally instead.
+const maxPreallocResponse = 16 << 20
+
+// readResponse reads a response body, in one allocation when the
+// server declared its length.
+func readResponse(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPreallocResponse {
+		return io.ReadAll(resp.Body)
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return len(raw), http.StatusOK, 0, fmt.Errorf("client: %s: decoding response: %w", path, err)
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		return nil, err
 	}
-	return len(raw), http.StatusOK, 0, nil
+	return buf, nil
 }
 
 // decodeError turns a non-200 response into an error. v2 endpoints
@@ -270,26 +307,42 @@ func (h HTTP) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, s
 // QueryBatch implements Transport over POST /v2/query. WireBytes is
 // the measured response body size.
 func (h HTTP) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (BatchQueryResult, error) {
-	var out server.QueryBatchResponse
-	n, err := h.postJSON(ctx, "/v2/query", server.QueryBatchRequest{Tokens: toks, Queries: queries}, &out, true)
+	req := server.QueryBatchRequest{Tokens: toks, Queries: queries}
+	raw, err := h.exchange(ctx, http.MethodPost, "/v2/query", req.AppendFrame(nil), server.FrameContentType, true)
 	if err != nil {
 		return BatchQueryResult{}, err
 	}
-	if len(out.Responses) != len(queries) {
-		return BatchQueryResult{}, fmt.Errorf("client: /v2/query: %d responses for %d queries", len(out.Responses), len(queries))
+	resps, err := decodeQueryFrame(raw)
+	if err != nil {
+		return BatchQueryResult{}, err
 	}
-	return BatchQueryResult{Responses: out.Responses, WireBytes: n}, nil
+	if len(resps) != len(queries) {
+		return BatchQueryResult{}, fmt.Errorf("client: /v2/query: %d responses for %d queries", len(resps), len(queries))
+	}
+	return BatchQueryResult{Responses: resps, WireBytes: len(raw)}, nil
+}
+
+// decodeQueryFrame decodes a /v2/query response frame from an
+// untrusted server.
+func decodeQueryFrame(raw []byte) ([]server.QueryResponse, error) {
+	var out server.QueryBatchResponse
+	if err := out.UnmarshalFrame(raw); err != nil {
+		return nil, fmt.Errorf("client: /v2/query: decoding response: %w", err)
+	}
+	return out.Responses, nil
 }
 
 // InsertBatch implements Transport over POST /v2/insert.
 func (h HTTP) InsertBatch(ctx context.Context, tok crypt.Token, ops []server.InsertOp) error {
-	_, err := h.postJSON(ctx, "/v2/insert", server.InsertBatchRequest{Token: tok, Ops: ops}, nil, false)
+	req := server.InsertBatchRequest{Token: tok, Ops: ops}
+	_, err := h.exchange(ctx, http.MethodPost, "/v2/insert", req.AppendFrame(nil), server.FrameContentType, false)
 	return err
 }
 
 // RemoveBatch implements Transport over POST /v2/remove.
 func (h HTTP) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.RemoveOp) error {
-	_, err := h.postJSON(ctx, "/v2/remove", server.RemoveBatchRequest{Token: tok, Ops: ops}, nil, false)
+	req := server.RemoveBatchRequest{Token: tok, Ops: ops}
+	_, err := h.exchange(ctx, http.MethodPost, "/v2/remove", req.AppendFrame(nil), server.FrameContentType, false)
 	return err
 }
 
@@ -300,7 +353,7 @@ func (h HTTP) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.Rem
 // protocol operations (a GET is idempotent).
 func (h HTTP) Stats(ctx context.Context) (server.StatsV2Response, error) {
 	var out server.StatsV2Response
-	if _, err := h.exchange(ctx, http.MethodGet, "/v2/stats", nil, &out, true); err != nil {
+	if _, err := h.exchangeJSON(ctx, http.MethodGet, "/v2/stats", nil, &out, true); err != nil {
 		return server.StatsV2Response{}, err
 	}
 	return out, nil
@@ -312,7 +365,7 @@ func (h HTTP) Stats(ctx context.Context) (server.StatsV2Response, error) {
 // answer it.
 func (h HTTP) StatsRoots(ctx context.Context) (server.StatsV2Response, error) {
 	var out server.StatsV2Response
-	if _, err := h.exchange(ctx, http.MethodGet, "/v2/stats?roots=1", nil, &out, true); err != nil {
+	if _, err := h.exchangeJSON(ctx, http.MethodGet, "/v2/stats?roots=1", nil, &out, true); err != nil {
 		return server.StatsV2Response{}, err
 	}
 	return out, nil

@@ -12,6 +12,7 @@ package microbench
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -51,6 +52,10 @@ func Suite() []Bench {
 		{"QueryInstrumented/hit", QueryInstrumentedHit},
 		{"ProofQuery/proved", ProofQueryProved},
 		{"ProofQuery/verify", ProofQueryVerify},
+		{"WireCodec/json", WireCodecJSON},
+		{"WireCodec/frame", WireCodecFrame},
+		{"WireCodec/json-proof", WireCodecJSONProof},
+		{"WireCodec/frame-proof", WireCodecFrameProof},
 		{"StoreAppend", StoreAppend},
 		{"StoreAppendParallel/window=0", StoreAppendParallelSync},
 		{"StoreAppendParallel/grouped", StoreAppendParallelGrouped},
@@ -323,6 +328,78 @@ func ProofQueryVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- wire codec ------------------------------------------------------
+
+// wireWindow is the response size BenchmarkWireCodec prices: one
+// MaxBatchOps-sized /v2/query window.
+const wireWindow = 4096
+
+// wireResponse is a one-window /v2/query response of wireWindow
+// elements from the 120k-element fixture, with or without its proof.
+func wireResponse(b *testing.B, proved bool) server.QueryBatchResponse {
+	f := bigList()
+	query := f.mem.Query
+	if proved {
+		query = f.mem.QueryProved
+	}
+	res, err := query(fixtureList, fixtureAllowed, 0, wireWindow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return server.QueryBatchResponse{Responses: []server.QueryResponse{{
+		Elements: res.Elements, Exhausted: res.Exhausted, Version: res.Version, Proof: res.Proof,
+	}}}
+}
+
+// WireCodecJSON prices the operator codec: encode plus decode of one
+// 4096-element /v2/query response as JSON.
+func WireCodecJSON(b *testing.B) { wireCodecJSON(b, false) }
+
+// WireCodecJSONProof is WireCodecJSON with the window's proof attached.
+func WireCodecJSONProof(b *testing.B) { wireCodecJSON(b, true) }
+
+func wireCodecJSON(b *testing.B, proved bool) {
+	resp := wireResponse(b, proved)
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		raw, err := json.Marshal(resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out server.QueryBatchResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			b.Fatal(err)
+		}
+		n = len(raw)
+	}
+	b.ReportMetric(float64(n), "B/resp")
+}
+
+// WireCodecFrame prices the binary codec client.HTTP speaks on the
+// same response: encode plus decode of one frame.
+func WireCodecFrame(b *testing.B) { wireCodecFrame(b, false) }
+
+// WireCodecFrameProof is WireCodecFrame with the window's proof
+// attached.
+func WireCodecFrameProof(b *testing.B) { wireCodecFrame(b, true) }
+
+func wireCodecFrame(b *testing.B, proved bool) {
+	resp := wireResponse(b, proved)
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = resp.AppendFrame(buf[:0])
+		var out server.QueryBatchResponse
+		if err := out.UnmarshalFrame(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "B/resp")
 }
 
 // --- storage-engine appends -----------------------------------------

@@ -192,10 +192,20 @@ func TestLoadShedHTTP(t *testing.T) {
 		stuck <- err
 	}()
 
-	// The stuck request holds the slot once its handler blocks in
-	// decode; poll until a probe is shed.
-	var resp *http.Response
+	// Wait until the stuck request holds the slot before probing: a
+	// probe in flight when it arrives would get it shed instead, and
+	// nothing would hold the slot. Then poll until a probe is shed.
+	// (The deferred close runs before ts.Close, which would otherwise
+	// wait forever on a handler draining the open pipe.)
+	defer pw.Close()
 	deadline := time.Now().Add(5 * time.Second)
+	for s.inflight.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stuck request never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var resp *http.Response
 	for {
 		var err error
 		resp, err = http.Get(ts.URL + "/v2/stats")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"zerberr/internal/crypt"
@@ -16,12 +18,12 @@ import (
 	"zerberr/internal/zerber"
 )
 
-// HTTP transport: a thin JSON layer over the in-process API, so the
-// index server can be outsourced onto a remote host (cmd/zerberd) and
+// HTTP transport: a thin layer over the in-process API, so the index
+// server can be outsourced onto a remote host (cmd/zerberd) and
 // exercised by clients over the network. Every handler threads the
 // request's context into the server call, so a disconnecting client
 // (or a cmd/zerberd drain timeout) cancels the server-side work it
-// started.
+// started; such a request is answered 499 and logged at Debug.
 //
 // v1 — one operation per round-trip, kept for compatibility:
 //
@@ -33,7 +35,12 @@ import (
 //	GET  /v1/stats                                        -> {"lists":n,"elements":m}
 //
 // v2 — batched operations with structured {code, error} envelopes
-// (see DESIGN.md "Wire protocol v2" for the error-code registry):
+// (see DESIGN.md "Wire protocol v2" for the error-code registry). The
+// three batch endpoints speak two codecs: a request with Content-Type
+// FrameContentType carries a binary frame (frame.go) and is answered
+// with one — what client.HTTP always sends — and any other request is
+// JSON, for curl and operators. Bodies are capped at MaxRequestBody.
+// Error envelopes, /v1/*, /v2/stats and the admin plane are JSON only.
 //
 //	POST /v2/query   {"tokens": [...], "queries": [{list,offset,count}...]}
 //	                                                      -> {"responses": [QueryResponse...]}
@@ -230,7 +237,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		toks, err := s.Login(r.Context(), req.User)
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, LoginResponse{Tokens: toks})
@@ -241,7 +248,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		if err := s.Insert(r.Context(), req.Token, req.List, req.Element); err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
@@ -252,7 +259,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		if err := s.Remove(r.Context(), req.Token, req.List, req.Sealed); err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
@@ -264,7 +271,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		resp, err := s.Query(r.Context(), req.Tokens, req.List, req.Offset, req.Count)
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -272,44 +279,52 @@ func (s *Server) Handler() http.Handler {
 	handle("GET", "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.StatsV2(r.Context())
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, StatsResponse{Lists: st.Lists, Elements: st.Elements})
 	})
 	handle("POST", "/v2/query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryBatchRequest
-		if !decodeV2(w, r, &req) {
+		frame, ok := decodeBatch(w, r, &req)
+		if !ok {
 			return
 		}
 		resps, err := s.QueryBatch(r.Context(), req.Tokens, req.Queries)
 		if err != nil {
-			writeErrV2(w, err)
+			writeErrV2(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, QueryBatchResponse{Responses: resps})
+		resp := QueryBatchResponse{Responses: resps}
+		if frame {
+			writeFrame(w, resp.AppendFrame)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	})
 	handle("POST", "/v2/insert", func(w http.ResponseWriter, r *http.Request) {
 		var req InsertBatchRequest
-		if !decodeV2(w, r, &req) {
+		frame, ok := decodeBatch(w, r, &req)
+		if !ok {
 			return
 		}
 		if err := s.InsertBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErrV2(w, err)
+			writeErrV2(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct{}{})
+		writeEmpty(w, frame)
 	})
 	handle("POST", "/v2/remove", func(w http.ResponseWriter, r *http.Request) {
 		var req RemoveBatchRequest
-		if !decodeV2(w, r, &req) {
+		frame, ok := decodeBatch(w, r, &req)
+		if !ok {
 			return
 		}
 		if err := s.RemoveBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErrV2(w, err)
+			writeErrV2(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct{}{})
+		writeEmpty(w, frame)
 	})
 	handle("GET", "/v2/stats", func(w http.ResponseWriter, r *http.Request) {
 		// ?roots=1 opts into per-list Merkle roots: an audit signal
@@ -321,7 +336,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		st, err := stats(r.Context())
 		if err != nil {
-			writeErrV2(w, err)
+			writeErrV2(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -385,9 +400,9 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 			}
 			err := withRetryHint(fmt.Errorf("%w: %d requests already in flight", ErrOverloaded, max), time.Second)
 			if strings.HasPrefix(endpoint, "/v2") {
-				writeErrV2(rec, err)
+				writeErrV2(rec, r, err)
 			} else {
-				writeErr(rec, err)
+				writeErr(rec, r, err)
 			}
 		} else {
 			ctx := obs.WithLogger(obs.WithRequestID(r.Context(), id), logger)
@@ -400,6 +415,8 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 				obs.Label{Name: "code", Value: strconv.Itoa(rec.status)}).Inc()
 		}
 		switch {
+		case rec.status == StatusClientClosedRequest:
+			logger.Debug("request canceled by client", "duration", elapsed)
 		case rec.status >= 500:
 			logger.Warn("request failed", "status", rec.status, "duration", elapsed)
 		case rec.status >= 400:
@@ -425,6 +442,104 @@ func decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	return true
 }
 
+// MaxRequestBody caps a /v2 batch request body in either codec. It
+// is derived from MaxBatchOps and a sealed-payload ceiling of
+// maxSealedBytes (~20× a GCM-sealed element): each operation may take
+// twice the ceiling, which covers the JSON form of a ceiling-sized
+// element (base64 is 4/3 of the bytes, plus field names) and leaves
+// the binary form ample room.
+const MaxRequestBody = MaxBatchOps * 2 * maxSealedBytes
+
+const maxSealedBytes = 1 << 10
+
+// StatusClientClosedRequest answers a request whose own context ended
+// before the server did: the client went away (a canceled hedge
+// loser, say), or a shutdown drain gave up on it. It is not a server
+// failure, so it is logged at Debug, not as a 5xx.
+const StatusClientClosedRequest = 499
+
+// frameDecoder is a request type with a binary frame form.
+type frameDecoder interface {
+	UnmarshalFrame([]byte) error
+}
+
+// decodeBatch decodes a v2 batch request body into dst, in the codec
+// the Content-Type selects and bounded by MaxRequestBody. frame reports
+// whether the request was a binary frame, so the answer can use the
+// same codec. On failure it has answered bad_request and ok is false.
+func decodeBatch(w http.ResponseWriter, r *http.Request, dst frameDecoder) (frame, ok bool) {
+	body := http.MaxBytesReader(w, r.Body, MaxRequestBody)
+	frame = r.Header.Get("Content-Type") == FrameContentType
+	var err error
+	if frame {
+		var raw []byte
+		if raw, err = readBody(body, r.ContentLength); err == nil {
+			err = dst.UnmarshalFrame(raw)
+		}
+	} else {
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		err = dec.Decode(dst)
+	}
+	if err != nil {
+		msg := fmt.Sprintf("bad request body: %v", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			msg = fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
+		}
+		writeJSON(w, http.StatusBadRequest, ErrorV2{Code: CodeBadRequest, Error: msg})
+		return frame, false
+	}
+	return frame, true
+}
+
+// readBody reads a request body, in one allocation when its length is
+// declared. A declared length over the cap is refused unread; the
+// caller's MaxBytesReader bounds an undeclared one.
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	if n > MaxRequestBody {
+		return nil, &http.MaxBytesError{Limit: MaxRequestBody}
+	}
+	if n < 0 {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// framePool recycles response frame buffers; buffers that grew past
+// maxPooledFrame are left to the collector.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 1 << 20
+
+// writeFrame answers 200 with the frame appendTo encodes.
+func writeFrame(w http.ResponseWriter, appendTo func([]byte) []byte) {
+	bp := framePool.Get().(*[]byte)
+	buf := appendTo((*bp)[:0])
+	w.Header().Set("Content-Type", FrameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf)
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf
+		framePool.Put(bp)
+	}
+}
+
+// writeEmpty answers a successful write batch: an empty frame or {}.
+func writeEmpty(w http.ResponseWriter, frame bool) {
+	if frame {
+		w.Header().Set("Content-Type", FrameContentType)
+		w.WriteHeader(http.StatusOK)
+		return
+	}
+	writeJSON(w, http.StatusOK, struct{}{})
+}
+
 func decodeV2(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -436,9 +551,12 @@ func decodeV2(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 }
 
 // statusFor maps a server error onto its HTTP status (shared by the
-// v1 and v2 error writers).
-func statusFor(err error) int {
+// v1 and v2 error writers). A context error on a request whose own
+// context is done is the client's doing, not the server's.
+func statusFor(r *http.Request, err error) int {
 	switch {
+	case r.Context().Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
+		return StatusClientClosedRequest
 	case errors.Is(err, ErrAuth):
 		return http.StatusUnauthorized
 	case errors.Is(err, ErrForbidden):
@@ -473,20 +591,20 @@ func setRetryAfter(w http.ResponseWriter, err error, status int) {
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
-func writeErr(w http.ResponseWriter, err error) {
-	status := statusFor(err)
+func writeErr(w http.ResponseWriter, r *http.Request, err error) {
+	status := statusFor(r, err)
 	setRetryAfter(w, err, status)
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-func writeErrV2(w http.ResponseWriter, err error) {
+func writeErrV2(w http.ResponseWriter, r *http.Request, err error) {
 	env := ErrorV2{Code: ErrorCode(err), Error: err.Error()}
 	var be *BatchError
 	if errors.As(err, &be) {
 		idx := be.Index
 		env.Index = &idx
 	}
-	status := statusFor(err)
+	status := statusFor(r, err)
 	setRetryAfter(w, err, status)
 	writeJSON(w, status, env)
 }

@@ -102,10 +102,10 @@ func (r *run) report(elapsed time.Duration) *Report {
 		ErrorBudget:  r.cfg.ErrorBudget,
 		ErrorsByKind: byKind,
 
-		SearchP50Ms: r.searchLat.Quantile(0.50),
-		SearchP99Ms: r.searchLat.Quantile(0.99),
-		WriteP50Ms:  r.writeLat.Quantile(0.50),
-		WriteP99Ms:  r.writeLat.Quantile(0.99),
+		SearchP50Ms: 1000 * r.searchLat.Quantile(0.50),
+		SearchP99Ms: 1000 * r.searchLat.Quantile(0.99),
+		WriteP50Ms:  1000 * r.writeLat.Quantile(0.50),
+		WriteP99Ms:  1000 * r.writeLat.Quantile(0.99),
 
 		PrimaryKills:     r.ch.primaryKills.Load(),
 		ReplicaKills:     r.ch.replicaKills.Load(),

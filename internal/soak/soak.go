@@ -150,7 +150,9 @@ type run struct {
 	orc     *oracle
 	ch      *chaos
 
-	searchLat *obs.Histogram // milliseconds
+	// Latencies in seconds, the unit of obs.LatencyBuckets; the
+	// report converts quantiles to milliseconds.
+	searchLat *obs.Histogram
 	writeLat  *obs.Histogram
 
 	ops            atomic.Uint64
@@ -517,6 +519,9 @@ func (r *run) worker(ctx context.Context, ops <-chan workload.Op) error {
 
 // execute runs one streamed op and folds the outcome into oracle and
 // counters.
+// observeLatency records one operation's latency in seconds.
+func observeLatency(h *obs.Histogram, d time.Duration) { h.Observe(d.Seconds()) }
+
 func (r *run) execute(ctx context.Context, cl *client.Client, byGrp map[int]crypt.Token, docSeals map[corpus.DocID][]server.InsertOp, op workload.Op) {
 	r.ops.Add(1)
 	switch op.Kind {
@@ -529,7 +534,7 @@ func (r *run) execute(ctx context.Context, cl *client.Client, byGrp map[int]cryp
 		}
 		t0 := time.Now()
 		_, _, err := cl.Search(ctx, op.Terms, r.cfg.TopK, opts...)
-		r.searchLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
+		observeLatency(r.searchLat, time.Since(t0))
 		switch {
 		case err == nil:
 			r.searches.Add(1)
@@ -550,7 +555,7 @@ func (r *run) execute(ctx context.Context, cl *client.Client, byGrp map[int]cryp
 		}
 		t0 := time.Now()
 		err = r.checker.InsertBatch(ctx, byGrp[op.Doc.Group], ops)
-		r.writeLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
+		observeLatency(r.writeLat, time.Since(t0))
 		if err == nil {
 			r.inserts.Add(1)
 			for _, o := range ops {
@@ -583,7 +588,7 @@ func (r *run) execute(ctx context.Context, cl *client.Client, byGrp map[int]cryp
 		}
 		t0 := time.Now()
 		err := r.checker.RemoveBatch(ctx, byGrp[op.Doc.Group], rops)
-		r.writeLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
+		observeLatency(r.writeLat, time.Since(t0))
 		if err == nil {
 			r.removes.Add(1)
 			for _, o := range rops {

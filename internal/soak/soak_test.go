@@ -3,6 +3,7 @@ package soak
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"zerberr/internal/client"
 	"zerberr/internal/crypt"
+	"zerberr/internal/obs"
 	"zerberr/internal/server"
 	"zerberr/internal/workload"
 	"zerberr/internal/zerber"
@@ -331,5 +333,46 @@ func TestSoakSmoke(t *testing.T) {
 	}
 	if !rep.OK {
 		t.Fatalf("soak not OK: %s", rep.JSON())
+	}
+}
+
+// TestReportLatencyUnits feeds a known latency distribution through the
+// run's recording path and checks the report reads it in milliseconds:
+// a 15ms tail must come out as ~15, not clamp to the top bucket bound.
+func TestReportLatencyUnits(t *testing.T) {
+	r := &run{
+		searchLat: obs.NewHistogram(nil),
+		writeLat:  obs.NewHistogram(nil),
+		orc:       newOracle(),
+		ch:        &chaos{},
+		checker:   newEpochChecker(nil),
+	}
+	// 97% at 2ms, 3% at 15ms: p50 sits in the (1ms, 2.5ms] bucket and
+	// p99 in (10ms, 25ms].
+	for i := 0; i < 1000; i++ {
+		d := 2 * time.Millisecond
+		if i%100 < 3 {
+			d = 15 * time.Millisecond
+		}
+		observeLatency(r.searchLat, d)
+		observeLatency(r.writeLat, d)
+	}
+	rep := r.report(time.Second)
+	for _, c := range []struct {
+		name       string
+		got        float64
+		want, wide float64 // wide: the containing bucket's width in ms
+	}{
+		{"search p50", rep.SearchP50Ms, 2, 1.5},
+		{"search p99", rep.SearchP99Ms, 15, 15},
+		{"write p50", rep.WriteP50Ms, 2, 1.5},
+		{"write p99", rep.WriteP99Ms, 15, 15},
+	} {
+		if math.Abs(c.got-c.want) > c.wide {
+			t.Errorf("%s = %.2fms, want %.0fms within one bucket (%.1fms)", c.name, c.got, c.want, c.wide)
+		}
+	}
+	if rep.SearchP99Ms <= 10 {
+		t.Errorf("search p99 = %.2fms: clamped at the 10ms bucket bound", rep.SearchP99Ms)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -96,11 +95,6 @@ func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
 		_, err := w.Write(vbuf[:n])
 		return err
 	}
-	writeVarint := func(v int64) error {
-		n := binary.PutVarint(vbuf[:], v)
-		_, err := w.Write(vbuf[:n])
-		return err
-	}
 	if err := writeUvarint(seq); err != nil {
 		return err
 	}
@@ -111,7 +105,7 @@ func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
 	if err := writeUvarint(uint64(len(lists))); err != nil {
 		return err
 	}
-	var f8 [8]byte
+	var rec []byte
 	for _, id := range lists {
 		var viewErr error
 		// Version, elements and leaves are read under one lock
@@ -129,17 +123,8 @@ func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
 				return
 			}
 			for _, el := range elems {
-				if viewErr = writeVarint(int64(el.Group)); viewErr != nil {
-					return
-				}
-				binary.BigEndian.PutUint64(f8[:], math.Float64bits(el.TRS))
-				if _, viewErr = w.Write(f8[:]); viewErr != nil {
-					return
-				}
-				if viewErr = writeUvarint(uint64(len(el.Sealed))); viewErr != nil {
-					return
-				}
-				if _, viewErr = w.Write(el.Sealed); viewErr != nil {
+				rec = AppendElement(rec[:0], el)
+				if _, viewErr = w.Write(rec); viewErr != nil {
 					return
 				}
 			}
@@ -275,18 +260,8 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 		// lazy list decodes on first touch.
 		start := rd.off
 		for j := uint64(0); j < n; j++ {
-			if _, err := binary.ReadVarint(rd); err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			if _, err := rd.take(8); err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			sl, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			if _, err := rd.take(int(sl)); err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+			if _, err := rd.element(); err != nil {
+				return 0, nil, fmt.Errorf("%w: list %d element %d: %v", ErrBadSnapshot, i, j, err)
 			}
 		}
 		if !hasVersions {
@@ -332,20 +307,16 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 // so the aliases stay valid for the store's lifetime (the same
 // contract QueryResult documents). The region was framing-checked at
 // load, so decode errors are impossible; an invariant violation here
-// would surface as an index panic, deliberately loud.
+// panics, deliberately loud.
 func decodeListElements(raw []byte, n int) []Element {
 	rd := newByteCursor(raw)
 	elems := make([]Element, n)
 	for j := range elems {
-		group, _ := binary.ReadVarint(rd)
-		f8, _ := rd.take(8)
-		sl, _ := binary.ReadUvarint(rd)
-		sealed, _ := rd.take(int(sl))
-		elems[j] = Element{
-			Sealed: sealed,
-			TRS:    math.Float64frombits(binary.BigEndian.Uint64(f8)),
-			Group:  int(group),
+		el, err := rd.element()
+		if err != nil {
+			panic(fmt.Sprintf("store: validated snapshot region failed to decode: %v", err))
 		}
+		elems[j] = el
 	}
 	return elems
 }

@@ -133,10 +133,7 @@ func encodeWALBatchPayload(firstSeq uint64, ops []BatchInsert) []byte {
 		list := int64(ops[i].List)
 		buf = binary.AppendVarint(buf, list-prev)
 		prev = list
-		buf = binary.AppendVarint(buf, int64(el.Group))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(el.TRS))
-		buf = binary.AppendUvarint(buf, uint64(len(el.Sealed)))
-		buf = append(buf, el.Sealed...)
+		buf = AppendElement(buf, el)
 	}
 	return buf
 }
@@ -212,19 +209,7 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 			if prev < 0 {
 				return nil, fmt.Errorf("batch entry %d: negative list id %d", i, prev)
 			}
-			group, err := binary.ReadVarint(rd)
-			if err != nil {
-				return nil, err
-			}
-			f8, err := rd.take(8)
-			if err != nil {
-				return nil, err
-			}
-			n, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return nil, err
-			}
-			sealed, err := rd.take(int(n))
+			el, err := rd.element()
 			if err != nil {
 				return nil, err
 			}
@@ -232,9 +217,9 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 				seq:    seq + i,
 				op:     opInsert,
 				list:   zerber.ListID(prev),
-				group:  int(group),
-				trs:    math.Float64frombits(binary.BigEndian.Uint64(f8)),
-				sealed: append([]byte(nil), sealed...),
+				group:  el.Group,
+				trs:    el.TRS,
+				sealed: append([]byte(nil), el.Sealed...),
 			})
 		}
 		if rd.remaining() != 0 {
