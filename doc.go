@@ -12,13 +12,13 @@
 //     lists whose elements carry an encrypted payload plus a plaintext
 //     transformed relevance score (TRS); ranks by TRS; enforces group
 //     ACLs; serves ranked ranges for the progressive top-k protocol.
-//     Two wire protocols: serial v1 (one operation per round-trip,
-//     kept for compatibility) and batched v2 (multi-list queries,
-//     bulk insert/remove, structured {code, error} envelopes), which
-//     lets a multi-term search finish in one round-trip per follow-up
-//     round instead of one per list request. The v2 batch endpoints
-//     carry binary frames for the HTTP client and JSON for operators,
-//     chosen by Content-Type (DESIGN.md "Binary frames").
+//     One request shape per operation, a batch (multi-list queries,
+//     bulk insert/remove, structured {code, error} envelopes on every
+//     endpoint), which lets a multi-term search finish in one
+//     round-trip per follow-up round instead of one per list request.
+//     The batch endpoints carry binary frames for the HTTP client and
+//     JSON for operators, chosen by Content-Type (DESIGN.md "Binary
+//     frames").
 //   - Storage engines (internal/store): the pluggable backends beneath
 //     the server — a RAM-only engine and a durable one with a
 //     CRC-framed write-ahead log, atomic snapshots and crash recovery,

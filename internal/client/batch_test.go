@@ -23,15 +23,17 @@ func multiTermQueries(h *harness) [][]corpus.TermID {
 	}
 }
 
-// TestSearchBatchedMatchesSerial is the acceptance check of the v2
-// redesign: a T-term Search completes in max(per-term rounds) batched
+// TestSearchBatchedMatchesSerial is the acceptance check of batched
+// search: a T-term Search completes in max(per-term rounds) batched
 // round-trips rather than Σ per-term requests, and returns exactly
-// what the serial v1 path returns.
+// what the serial schedule returns. It also pins the serial
+// accounting the paper experiments report: one list request per
+// round, and per-term costs that add up.
 func TestSearchBatchedMatchesSerial(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 30)
 	for qi, q := range multiTermQueries(h) {
 		// Per-term serial costs, to predict the batched accounting.
-		maxRounds, sumRequests := 0, 0
+		maxRounds, sumRequests, sumElements, sumBytes := 0, 0, 0, 0
 		for _, term := range q {
 			_, st, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial())
 			if err != nil {
@@ -41,6 +43,17 @@ func TestSearchBatchedMatchesSerial(t *testing.T) {
 				maxRounds = st.Requests
 			}
 			sumRequests += st.Requests
+			sumElements += st.Elements
+			sumBytes += st.Bytes
+			// A single term has one list to schedule: both schedules
+			// are the same protocol run.
+			_, bst, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bst.Requests != st.Requests || bst.Rounds != st.Rounds || bst.Elements != st.Elements || bst.Bytes != st.Bytes {
+				t.Errorf("query %d term %d: batched stats %+v, serial %+v", qi, term, bst, st)
+			}
 		}
 
 		serialRes, serialStats, err := h.cl.Search(context.Background(), q, 10, WithSerial())
@@ -68,6 +81,15 @@ func TestSearchBatchedMatchesSerial(t *testing.T) {
 		}
 		if serialStats.Rounds != sumRequests {
 			t.Errorf("query %d: serial rounds %d, want %d", qi, serialStats.Rounds, sumRequests)
+		}
+		if serialStats.Requests != sumRequests {
+			t.Errorf("query %d: serial list requests %d, want %d", qi, serialStats.Requests, sumRequests)
+		}
+		if serialStats.Elements != sumElements {
+			t.Errorf("query %d: serial elements %d, want per-term sum %d", qi, serialStats.Elements, sumElements)
+		}
+		if serialStats.Bytes != sumBytes {
+			t.Errorf("query %d: serial bytes %d, want per-term sum %d", qi, serialStats.Bytes, sumBytes)
 		}
 		if len(q) > 1 && batchedStats.Rounds >= batchedStats.Requests {
 			t.Errorf("query %d: %d-term query took %d rounds for %d requests — batching saved nothing",

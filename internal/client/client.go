@@ -7,14 +7,15 @@
 // The API is context-first (v3): every operation takes a
 // context.Context and long operations are cancelable between
 // round-trips. Search is the one query entrypoint — functional
-// options select the serial v1 path, the initial response size and
-// strict top-k — and SearchStream exposes the progressive protocol
-// itself, yielding the provisional top-k after every round. By
-// default a query drives every term's follow-up loop as one state
-// machine over the batched v2 path, so a multi-term query costs
-// O(max follow-up rounds) round-trips instead of O(Σ per-term
-// requests); the serial path shares the same per-term stopping logic
-// (termScan) and therefore returns identical results.
+// options select the serial schedule, the initial response size,
+// strict top-k and proofs — and SearchStream exposes the progressive
+// protocol itself, yielding the provisional top-k after every round.
+// A query drives every term's follow-up loop as one state machine
+// over Transport.QueryBatch. By default each round covers every open
+// list, so a multi-term query costs O(max follow-up rounds)
+// round-trips instead of O(Σ per-term requests); the serial schedule
+// sends one list per round through the same loop and per-term
+// stopping logic (termScan), and therefore returns identical results.
 package client
 
 import (
@@ -61,18 +62,17 @@ type Config struct {
 type QueryStats struct {
 	// Requests is the number of per-list fetches (1 = no follow-ups).
 	Requests int
-	// Rounds is the number of round-trips to the server. On the
-	// serial v1 path it equals Requests; on the batched v2 path one
-	// round covers every still-open list, so Rounds is the maximum
-	// follow-up depth across terms rather than the request sum.
+	// Rounds is the number of round-trips to the server. Under the
+	// serial schedule it equals Requests; by default one round covers
+	// every still-open list, so Rounds is the maximum follow-up depth
+	// across terms rather than the request sum.
 	Rounds int
 	// Elements is the total number of posting elements returned
 	// (TRes of Equation 12 unless the list was exhausted earlier).
 	Elements int
 	// Bytes is the response cost. Transports that actually serialize
 	// report their measured wire size (the HTTP transport counts the
-	// response bodies it receives: binary frames for batched search,
-	// JSON for the serial v1 path); in process nothing crosses a
+	// response frames it receives); in process nothing crosses a
 	// wire, so Bytes falls back to Elements times the codec wire
 	// size — the paper's Section 6.6 accounting. The measured figure
 	// includes each element's framing and is therefore larger than
@@ -224,9 +224,8 @@ func (c *Client) queryBatchChunked(ctx context.Context, queries []server.ListQue
 
 // termScan is the per-term state of the progressive protocol: the
 // cursor into one merged list, the doubling schedule, the matches
-// collected so far and the stopping rule. Both the serial and the
-// batched query paths drive their rounds through it, so the two paths
-// cannot diverge in what they return.
+// collected so far and the stopping rule. Both search schedules drive
+// their rounds through it, so they cannot diverge in what they return.
 type termScan struct {
 	term   corpus.TermID
 	list   zerber.ListID

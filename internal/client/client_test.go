@@ -17,6 +17,15 @@ import (
 	"zerberr/internal/zerber"
 )
 
+// insertOne and removeOne run one server operation as a batch of one.
+func insertOne(ctx context.Context, s *server.Server, tok crypt.Token, list zerber.ListID, e server.StoredElement) error {
+	return s.InsertBatch(ctx, tok, []server.InsertOp{{List: list, Element: e}})
+}
+
+func removeOne(ctx context.Context, s *server.Server, tok crypt.Token, list zerber.ListID, sealed []byte) error {
+	return s.RemoveBatch(ctx, tok, []server.RemoveOp{{List: list, Sealed: sealed}})
+}
+
 // harness wires a complete small system: corpus, trained store, merge
 // plan, server, baseline index and a logged-in client that indexed
 // everything.
@@ -296,7 +305,7 @@ func TestTamperedElementSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.srv.Insert(context.Background(), toks[evil.Group], list, evil); err != nil {
+	if err := insertOne(context.Background(), h.srv, toks[evil.Group], list, evil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 5, WithSerial(), WithInitialResponse(10)); !errors.Is(err, crypt.ErrDecrypt) {

@@ -51,11 +51,11 @@ func TestSearchDeduplicatesTerms(t *testing.T) {
 	}
 }
 
-// The serial v1 path must report measured wire bytes over HTTP, like
-// the batched path does, instead of always falling back to the codec
-// estimate — otherwise the serial-vs-batched bandwidth comparison is
-// apples-to-oranges. In process there is no wire, so the estimate
-// remains.
+// The serial schedule must report measured wire bytes over HTTP, like
+// the default schedule does, instead of always falling back to the
+// codec estimate — otherwise the serial-vs-batched bandwidth
+// comparison is apples-to-oranges. In process there is no wire, so the
+// estimate remains.
 func TestSerialQueryBytesMeasuredOverHTTP(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 45)
 	term := h.c.TermsByDF()[0]
@@ -88,9 +88,10 @@ func TestSerialQueryBytesMeasuredOverHTTP(t *testing.T) {
 	if httpStats.Elements != localStats.Elements {
 		t.Fatalf("HTTP returned %d elements, in-process %d", httpStats.Elements, localStats.Elements)
 	}
-	// Measured JSON bodies include framing and base64 expansion, so
-	// the real figure is strictly larger than the estimate the serial
-	// path used to report unconditionally.
+	// A measured frame element is the sealed payload plus about 10
+	// bytes of framing (TRS, group, length prefix), and each response
+	// adds its own header, so the real figure is strictly larger than
+	// the codec estimate.
 	if httpStats.Bytes <= estimate {
 		t.Fatalf("HTTP Bytes = %d, want measured value > codec estimate %d", httpStats.Bytes, estimate)
 	}

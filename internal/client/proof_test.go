@@ -127,11 +127,43 @@ func TestWithProofMatchesUnproven(t *testing.T) {
 	}
 }
 
-func TestWithProofSerialRejected(t *testing.T) {
-	h, _ := newTamperHarness(t, 22)
-	_, _, err := h.cl.Search(context.Background(), []corpus.TermID{h.c.TermsByDF()[0]}, 5, WithProof(), WithSerial())
-	if !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("WithProof+WithSerial: got %v, want ErrBadQuery", err)
+// TestWithProofSerial: the serial schedule carries proofs like the
+// default one. Every round asks for a proof and is verified — forging
+// only the last round still fails the search — and the results are
+// element-identical to a batched proved search.
+func TestWithProofSerial(t *testing.T) {
+	h, tb := newTamperHarness(t, 22)
+	terms := h.c.TermsByDF()
+	query := []corpus.TermID{terms[0], terms[4], terms[11]}
+	batched, _, err := h.cl.Search(context.Background(), query, 10, WithProof())
+	if err != nil {
+		t.Fatalf("batched proved search: %v", err)
+	}
+	// The server has no result cache, so every proved sub-query is one
+	// backend QueryProved call.
+	proved := 0
+	tb.set(func(*store.QueryResult) { proved++ }, nil)
+	serial, stats, err := h.cl.Search(context.Background(), query, 10, WithProof(), WithSerial())
+	tb.set(nil, nil)
+	if err != nil {
+		t.Fatalf("serial proved search: %v", err)
+	}
+	if !reflect.DeepEqual(serial, batched) {
+		t.Fatalf("serial proved results differ from batched:\nserial  %v\nbatched %v", serial, batched)
+	}
+	if stats.Rounds != stats.Requests || proved != stats.Rounds {
+		t.Fatalf("serial proved search: %d rounds, %d requests, %d proved reads", stats.Rounds, stats.Requests, proved)
+	}
+
+	n := 0
+	tb.set(func(r *store.QueryResult) {
+		if n++; n == proved {
+			r.Version++
+		}
+	}, nil)
+	defer tb.set(nil, nil)
+	if _, _, err := h.cl.Search(context.Background(), query, 10, WithProof(), WithSerial()); !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("forged last round: got %v, want ErrProofInvalid", err)
 	}
 }
 

@@ -36,11 +36,11 @@ func WithInitialResponse(b int) SearchOption {
 	return func(o *searchConfig) { o.initial = b }
 }
 
-// WithSerial runs the query over the serial v1 protocol: one
-// round-trip per list request, each term's follow-up loop run to
-// completion in turn. It is the compatibility path and the baseline
-// the batched path's round-trip savings are measured against; results
-// are identical either way.
+// WithSerial schedules the query one list per round-trip: each round
+// carries only the first still-open term's sub-query, so every term's
+// follow-up loop runs to completion in turn and Rounds equals
+// Requests. It is the baseline the default schedule's round-trip
+// savings are measured against; results are identical either way.
 func WithSerial() SearchOption {
 	return func(o *searchConfig) { o.serial = true }
 }
@@ -57,9 +57,8 @@ func WithStrictTopK() SearchOption {
 // verified — inclusion, adjacency, completeness and the exhausted
 // flag, against a root pinned per (list, version) across the whole
 // search — before anything is decrypted or ranked. A response failing
-// verification aborts the search with ErrProofInvalid. Only the
-// batched v2 path carries proofs; combining WithProof with WithSerial
-// is ErrBadQuery.
+// verification aborts the search with ErrProofInvalid. It works
+// under either schedule, WithSerial included.
 func WithProof() SearchOption {
 	return func(o *searchConfig) { o.proved = true }
 }
@@ -90,12 +89,11 @@ type Snapshot struct {
 // entrypoint, consolidating the former TopK / TopKWithInitial /
 // Search / SearchSerial quartet behind functional options.
 //
-// By default all terms' follow-up loops run as one state machine over
-// the batched v2 transport: each round issues a single QueryBatch
-// covering every still-open list, so a T-term query costs
-// max(per-term rounds) round-trips, not Σ per-term requests.
-// WithSerial selects the one-request-per-list v1 path instead;
-// results are identical either way.
+// All terms' follow-up loops run as one state machine over
+// Transport.QueryBatch. By default each round covers every
+// still-open list, so a T-term query costs max(per-term rounds)
+// round-trips, not Σ per-term requests; WithSerial sends one list per
+// round instead. Results are identical either way.
 //
 // The context bounds the whole query: cancellation or a deadline is
 // honored between rounds and aborts any in-flight round-trip on
@@ -159,28 +157,21 @@ func (c *Client) searchStream(ctx context.Context, terms []corpus.TermID, k int,
 			yield(Snapshot{}, fmt.Errorf("%w: no query terms", ErrBadQuery))
 			return
 		}
-		if o.serial && o.proved {
-			yield(Snapshot{}, fmt.Errorf("%w: WithProof needs the batched path (drop WithSerial)", ErrBadQuery))
-			return
-		}
 		scans := make([]*termScan, len(terms))
 		for i, term := range terms {
 			scans[i] = c.newTermScan(term, k, o.initial, o.strict)
 		}
-		if o.serial {
-			c.streamSerial(ctx, scans, k, progressive, &total, yield)
-		} else {
-			c.streamBatched(ctx, scans, k, progressive, o.proved, &total, yield)
-		}
+		c.streamBatched(ctx, scans, k, progressive, o.serial, o.proved, &total, yield)
 	}
 }
 
-// streamBatched drives every open scan through one QueryBatch per
+// streamBatched drives the open scans through one QueryBatch per
 // round, yielding a snapshot after each round (progressive) or only
-// once settled, until all scans settle or the consumer breaks. With
-// proved set every sub-query requests a window proof and each
-// response is verified before absorb sees it.
-func (c *Client) streamBatched(ctx context.Context, scans []*termScan, k int, progressive, proved bool, total *QueryStats, yield func(Snapshot, error) bool) {
+// once settled, until all scans settle or the consumer breaks. A round
+// covers every open scan, or with serial set only the first one in
+// term order. With proved set every sub-query requests a window proof
+// and each response is verified before absorb sees it.
+func (c *Client) streamBatched(ctx context.Context, scans []*termScan, k int, progressive, serial, proved bool, total *QueryStats, yield func(Snapshot, error) bool) {
 	var ps *proofState
 	if proved {
 		ps = c.newProofState()
@@ -198,6 +189,9 @@ func (c *Client) streamBatched(ctx context.Context, scans []*termScan, k int, pr
 				q.Proof = proved
 				queries = append(queries, q)
 				open = append(open, i)
+				if serial {
+					break
+				}
 			}
 		}
 		if len(queries) == 0 {
@@ -234,39 +228,6 @@ func (c *Client) streamBatched(ctx context.Context, scans []*termScan, k int, pr
 		}
 		if !emitRound(scans, k, progressive, total, yield) {
 			return
-		}
-	}
-}
-
-// streamSerial is streamBatched over the v1 path: each term's scan
-// runs to completion in turn, one round-trip per list request.
-func (c *Client) streamSerial(ctx context.Context, scans []*termScan, k int, progressive bool, total *QueryStats, yield func(Snapshot, error) bool) {
-	for _, scan := range scans {
-		for !scan.done {
-			if err := ctx.Err(); err != nil {
-				yield(Snapshot{Stats: *total}, err)
-				return
-			}
-			resp, wireBytes, err := c.t.Query(ctx, c.tokens, scan.list, scan.offset, scan.batch)
-			if err != nil {
-				yield(Snapshot{Stats: *total}, err)
-				return
-			}
-			total.Requests++
-			total.Rounds++
-			total.Elements += len(resp.Elements)
-			if wireBytes > 0 {
-				total.Bytes += wireBytes
-			} else {
-				total.Bytes += len(resp.Elements) * c.cfg.Codec.WireSize()
-			}
-			if err := scan.absorb(resp, c.openElement); err != nil {
-				yield(Snapshot{Stats: *total}, err)
-				return
-			}
-			if !emitRound(scans, k, progressive, total, yield) {
-				return
-			}
 		}
 	}
 }

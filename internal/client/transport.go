@@ -11,7 +11,6 @@ import (
 
 	"zerberr/internal/crypt"
 	"zerberr/internal/server"
-	"zerberr/internal/zerber"
 )
 
 // Transport abstracts how the client reaches the index server: in
@@ -23,10 +22,9 @@ import (
 // passes, returning the context's error (possibly wrapped — callers
 // match with errors.Is).
 //
-// The single-operation methods are the v1 protocol, one round-trip
-// per operation. The batch methods are the v2 protocol: one exchange
-// covers many lists or many elements, which is what makes multi-term
-// search O(rounds) instead of O(requests) over the network.
+// Each operation has one request shape, a batch: one exchange covers
+// many lists or many elements, which is what makes multi-term search
+// O(rounds) instead of O(requests) over the network.
 //
 // Query responses carry the list's mutation version, and QueryBatch
 // sub-queries may be conditional (server.ListQuery.IfVersion): a
@@ -40,14 +38,6 @@ import (
 // server-side result cache, which keys on the same versions.
 type Transport interface {
 	Login(ctx context.Context, user string) ([]crypt.Token, error)
-	Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error
-	// Query is the serial v1 read. wireBytes is the measured size of
-	// the encoded response on transports that serialize (the HTTP
-	// transport reports the JSON body size); 0 in process, where
-	// nothing crosses a wire and callers fall back to the codec's
-	// per-element estimate — the same accounting QueryBatch uses.
-	Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (resp server.QueryResponse, wireBytes int, err error)
-	Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error
 	QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (BatchQueryResult, error)
 	InsertBatch(ctx context.Context, tok crypt.Token, ops []server.InsertOp) error
 	RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.RemoveOp) error
@@ -72,23 +62,6 @@ type Local struct {
 // Login implements Transport.
 func (l Local) Login(ctx context.Context, user string) ([]crypt.Token, error) {
 	return l.S.Login(ctx, user)
-}
-
-// Insert implements Transport.
-func (l Local) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	return l.S.Insert(ctx, tok, list, el)
-}
-
-// Query implements Transport. Nothing is serialized in process, so
-// the measured wire size is 0.
-func (l Local) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	resp, err := l.S.Query(ctx, toks, list, offset, count)
-	return resp, 0, err
-}
-
-// Remove implements Transport.
-func (l Local) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	return l.S.Remove(ctx, tok, list, sealed)
 }
 
 // QueryBatch implements Transport.
@@ -120,8 +93,7 @@ var defaultHTTPClient = &http.Client{Timeout: DefaultHTTPTimeout}
 // HTTP talks to a zerberd index server. The three batch operations
 // (QueryBatch, InsertBatch, RemoveBatch) always travel as binary frames
 // (server.FrameContentType, internal/server/frame.go); everything else
-// — Login, the v1 operations, Stats, the admin plane and every error
-// envelope — is JSON. A query response body is read into one buffer
+// — Login, Stats, the admin plane and every error envelope — is JSON. A query response body is read into one buffer
 // and decoded from it; each sub-response's payloads then get one
 // buffer of their own, so a window the router cache keeps does not
 // pin the rest of the body.
@@ -154,32 +126,28 @@ func (h HTTP) httpClient() *http.Client {
 }
 
 // postJSON posts a JSON request body and decodes the JSON answer into
-// out (nil to ignore it), translating error envelopes into errors. It
-// returns the size of the response body in bytes (the actual wire cost
-// of the answer). idempotent widens the retry classification (see
-// retry.go); only operations that are safe to re-send after an
-// ambiguous failure may pass true.
-func (h HTTP) postJSON(ctx context.Context, path string, in, out interface{}, idempotent bool) (int, error) {
+// out, translating error envelopes into errors. idempotent widens the
+// retry classification (see retry.go); only operations that are safe
+// to re-send after an ambiguous failure may pass true.
+func (h HTTP) postJSON(ctx context.Context, path string, in, out interface{}, idempotent bool) error {
 	body, err := json.Marshal(in)
 	if err != nil {
-		return 0, fmt.Errorf("client: encoding request: %w", err)
+		return fmt.Errorf("client: encoding request: %w", err)
 	}
 	return h.exchangeJSON(ctx, http.MethodPost, path, body, out, idempotent)
 }
 
 // exchangeJSON runs exchange with a JSON body (or none) and decodes a
 // JSON answer into out.
-func (h HTTP) exchangeJSON(ctx context.Context, method, path string, body []byte, out interface{}, idempotent bool) (int, error) {
+func (h HTTP) exchangeJSON(ctx context.Context, method, path string, body []byte, out interface{}, idempotent bool) error {
 	raw, err := h.exchange(ctx, method, path, body, "application/json", idempotent)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return len(raw), fmt.Errorf("client: %s: decoding response: %w", path, err)
-		}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("client: %s: decoding response: %w", path, err)
 	}
-	return len(raw), nil
+	return nil
 }
 
 // exchange runs one logical request through the retry loop and returns
@@ -252,11 +220,10 @@ func readResponse(resp *http.Response) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeError turns a non-200 response into an error. v2 endpoints
-// answer with a structured {code, error, index} envelope whose code is
-// mapped back onto the server sentinel errors, so errors.Is behaves
-// identically over HTTP and in process; v1 endpoints carry only the
-// message.
+// decodeError turns a non-200 response into an error. Every endpoint
+// answers with a structured {code, error, index} envelope whose code
+// is mapped back onto the server sentinel errors, so errors.Is behaves
+// identically over HTTP and in process.
 func (h HTTP) decodeError(path string, status int, raw []byte) error {
 	var env server.ErrorV2
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error == "" {
@@ -275,33 +242,10 @@ func (h HTTP) decodeError(path string, status int, raw []byte) error {
 // Login implements Transport.
 func (h HTTP) Login(ctx context.Context, user string) ([]crypt.Token, error) {
 	var out server.LoginResponse
-	if _, err := h.postJSON(ctx, "/v1/login", server.LoginRequest{User: user}, &out, true); err != nil {
+	if err := h.postJSON(ctx, "/v1/login", server.LoginRequest{User: user}, &out, true); err != nil {
 		return nil, err
 	}
 	return out.Tokens, nil
-}
-
-// Insert implements Transport.
-func (h HTTP) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	_, err := h.postJSON(ctx, "/v1/insert", server.InsertRequest{Token: tok, List: list, Element: el}, nil, false)
-	return err
-}
-
-// Query implements Transport, reporting the measured response-body
-// size so serial-path bandwidth accounting matches the batched path.
-func (h HTTP) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	var out server.QueryResponse
-	n, err := h.postJSON(ctx, "/v1/query", server.QueryRequest{Tokens: toks, List: list, Offset: offset, Count: count}, &out, true)
-	if err != nil {
-		return server.QueryResponse{}, 0, err
-	}
-	return out, n, nil
-}
-
-// Remove implements Transport.
-func (h HTTP) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	_, err := h.postJSON(ctx, "/v1/remove", server.RemoveRequest{Token: tok, List: list, Sealed: sealed}, nil, false)
-	return err
 }
 
 // QueryBatch implements Transport over POST /v2/query. WireBytes is
@@ -353,7 +297,7 @@ func (h HTTP) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.Rem
 // protocol operations (a GET is idempotent).
 func (h HTTP) Stats(ctx context.Context) (server.StatsV2Response, error) {
 	var out server.StatsV2Response
-	if _, err := h.exchangeJSON(ctx, http.MethodGet, "/v2/stats", nil, &out, true); err != nil {
+	if err := h.exchangeJSON(ctx, http.MethodGet, "/v2/stats", nil, &out, true); err != nil {
 		return server.StatsV2Response{}, err
 	}
 	return out, nil
@@ -365,7 +309,7 @@ func (h HTTP) Stats(ctx context.Context) (server.StatsV2Response, error) {
 // answer it.
 func (h HTTP) StatsRoots(ctx context.Context) (server.StatsV2Response, error) {
 	var out server.StatsV2Response
-	if _, err := h.exchangeJSON(ctx, http.MethodGet, "/v2/stats?roots=1", nil, &out, true); err != nil {
+	if err := h.exchangeJSON(ctx, http.MethodGet, "/v2/stats?roots=1", nil, &out, true); err != nil {
 		return server.StatsV2Response{}, err
 	}
 	return out, nil

@@ -11,9 +11,15 @@ import (
 	"zerberr/internal/cache"
 	"zerberr/internal/client"
 	"zerberr/internal/cluster"
+	"zerberr/internal/crypt"
 	"zerberr/internal/server"
 	"zerberr/internal/zerber"
 )
+
+// insertOne runs one insert as a batch of one.
+func insertOne(ctx context.Context, t client.Transport, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
+	return t.InsertBatch(ctx, tok, []server.InsertOp{{List: list, Element: el}})
+}
 
 // TestRouterCacheRevalidation drives the conditional fan-out end to
 // end: a cached router must answer repeated batches with revalidated
@@ -64,7 +70,7 @@ func TestRouterCacheRevalidation(t *testing.T) {
 						TRS:    float64((i*7)%30) / 30,
 						Group:  i % 2,
 					}
-					if err := cached.Insert(ctx, toks[i%2], list, el); err != nil {
+					if err := insertOne(ctx, cached, toks[i%2], list, el); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -118,7 +124,7 @@ func TestRouterCacheRevalidation(t *testing.T) {
 			// batch must pick the new content up (version moved, the
 			// shard serves the full window again).
 			victim := lists[2]
-			if err := cached.Insert(ctx, toks[0], victim, server.StoredElement{Sealed: []byte("fresh"), TRS: 0.999, Group: 0}); err != nil {
+			if err := insertOne(ctx, cached, toks[0], victim, server.StoredElement{Sealed: []byte("fresh"), TRS: 0.999, Group: 0}); err != nil {
 				t.Fatal(err)
 			}
 			after := compare("after-mutation")

@@ -11,8 +11,34 @@ import (
 	"zerberr/internal/crypt"
 	"zerberr/internal/index"
 	"zerberr/internal/rstf"
+	"zerberr/internal/server"
 	"zerberr/internal/zerber"
 )
+
+// inserter is what insertOne and removeOne need: a server or any
+// transport.
+type inserter interface {
+	InsertBatch(context.Context, crypt.Token, []server.InsertOp) error
+	RemoveBatch(context.Context, crypt.Token, []server.RemoveOp) error
+}
+
+// insertOne, removeOne and queryOne run one operation as a batch of
+// one.
+func insertOne(ctx context.Context, w inserter, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
+	return w.InsertBatch(ctx, tok, []server.InsertOp{{List: list, Element: el}})
+}
+
+func removeOne(ctx context.Context, w inserter, tok crypt.Token, list zerber.ListID, sealed []byte) error {
+	return w.RemoveBatch(ctx, tok, []server.RemoveOp{{List: list, Sealed: sealed}})
+}
+
+func queryOne(ctx context.Context, t client.Transport, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, error) {
+	res, err := t.QueryBatch(ctx, toks, []server.ListQuery{{List: list, Offset: offset, Count: count}})
+	if err != nil {
+		return server.QueryResponse{}, err
+	}
+	return res.Responses[0], nil
+}
 
 // clusterHarness wires a 3-shard cluster with a fully indexed corpus.
 type clusterHarness struct {

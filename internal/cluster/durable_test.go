@@ -58,17 +58,17 @@ func TestRouterOverDurableShards(t *testing.T) {
 	for l := zerber.ListID(0); l < lists; l++ {
 		for i := 0; i < 5; i++ {
 			el := server.StoredElement{Sealed: []byte(fmt.Sprintf("l%d-e%d", l, i)), TRS: float64(i), Group: 0}
-			if err := router.Insert(context.Background(), toks[0], l, el); err != nil {
+			if err := insertOne(context.Background(), router, toks[0], l, el); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := router.Remove(context.Background(), toks[0], 2, []byte("l2-e0")); err != nil {
+	if err := removeOne(context.Background(), router, toks[0], 2, []byte("l2-e0")); err != nil {
 		t.Fatal(err)
 	}
 	before := make(map[zerber.ListID]server.QueryResponse)
 	for l := zerber.ListID(0); l < lists; l++ {
-		resp, _, err := router.Query(context.Background(), toks, l, 0, 100)
+		resp, err := queryOne(context.Background(), router, toks, l, 0, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestRouterOverDurableShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := zerber.ListID(0); l < lists; l++ {
-		resp, _, err := router.Query(context.Background(), toks, l, 0, 100)
+		resp, err := queryOne(context.Background(), router, toks, l, 0, 100)
 		if err != nil {
 			t.Fatalf("list %d after restart: %v", l, err)
 		}

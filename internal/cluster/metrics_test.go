@@ -85,12 +85,12 @@ func TestMetricsScrapeExposition(t *testing.T) {
 	}
 	for list := 0; list < 4; list++ { // even lists land on shard 0, odd on shard 1
 		el := server.StoredElement{Sealed: []byte{byte(list)}, TRS: 1, Group: 0}
-		if err := router.Insert(ctx, toks[0], zerber.ListID(list), el); err != nil {
+		if err := insertOne(ctx, router, toks[0], zerber.ListID(list), el); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ { // second pass hits srv0's result cache
-		if _, err := srv0.Query(ctx, toks, 0, 0, 1); err != nil {
+		if _, err := queryOne(ctx, client.Local{S: srv0}, toks, 0, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,18 +247,18 @@ func stripLe(labels string) string {
 }
 
 // faultyTransport wraps a shard transport and, while fail is set,
-// answers every Query with an unclassified error (which maps to
+// answers every QueryBatch with an unclassified error (which maps to
 // CodeInternal — a shard fault).
 type faultyTransport struct {
 	client.Transport
 	fail bool
 }
 
-func (f *faultyTransport) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
+func (f *faultyTransport) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
 	if f.fail {
-		return server.QueryResponse{}, 0, fmt.Errorf("shard: injected fault")
+		return client.BatchQueryResult{}, fmt.Errorf("shard: injected fault")
 	}
-	return f.Transport.Query(ctx, toks, list, offset, count)
+	return f.Transport.QueryBatch(ctx, toks, queries)
 }
 
 // TestShardHealthTracksFaults exercises the health counters through an
@@ -281,7 +281,7 @@ func TestShardHealthTracksFaults(t *testing.T) {
 
 	ft.fail = true
 	for i := 0; i < 3; i++ {
-		if _, _, err := router.Query(ctx, toks, 1, 0, 1); err == nil {
+		if _, err := queryOne(ctx, router, toks, 1, 0, 1); err == nil {
 			t.Fatal("injected fault not surfaced")
 		}
 	}
@@ -296,7 +296,7 @@ func TestShardHealthTracksFaults(t *testing.T) {
 	// An answered application rejection (unknown list -> 404 class)
 	// proves liveness: the consecutive run resets, totals persist.
 	ft.fail = false
-	if _, _, err := router.Query(ctx, toks, 1, 0, 1); err == nil {
+	if _, err := queryOne(ctx, router, toks, 1, 0, 1); err == nil {
 		t.Fatal("query of an empty list should fail cleanly")
 	}
 	h = router.Health()[0]

@@ -171,10 +171,10 @@ func TestMigrateUnderConcurrentWrites(t *testing.T) {
 			if h.router.ShardFor(quiet) != 1 {
 				t.Fatal("test assumes list 101 lives on shard 1")
 			}
-			if err := h.router.Insert(ctx, h.tok, quiet, server.StoredElement{Sealed: []byte("quiet"), TRS: 1, Group: 0}); err != nil {
+			if err := insertOne(ctx, h.router, h.tok, quiet, server.StoredElement{Sealed: []byte("quiet"), TRS: 1, Group: 0}); err != nil {
 				t.Fatal(err)
 			}
-			pre, _, err := h.router.Query(ctx, h.toks, quiet, 0, 10)
+			pre, err := queryOne(ctx, h.router, h.toks, quiet, 0, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestMigrateUnderConcurrentWrites(t *testing.T) {
 						default:
 						}
 						sealed := []byte(fmt.Sprintf("w%d-%d", w, i))
-						if err := h.router.Insert(ctx, h.tok, list, server.StoredElement{Sealed: sealed, TRS: float64(i), Group: 0}); err != nil {
+						if err := insertOne(ctx, h.router, h.tok, list, server.StoredElement{Sealed: sealed, TRS: float64(i), Group: 0}); err != nil {
 							t.Errorf("writer %d: %v", w, err)
 							return
 						}
@@ -243,7 +243,7 @@ func TestMigrateUnderConcurrentWrites(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			for list, want := range oracle {
-				resp, _, err := h.router.Query(ctx, h.toks, list, 0, len(want)+16)
+				resp, err := queryOne(ctx, h.router, h.toks, list, 0, len(want)+16)
 				if err != nil {
 					t.Fatalf("list %d: %v", list, err)
 				}

@@ -50,7 +50,7 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 
 	// Throughput: time the protocol over a slice of the real stream.
 	// With Batched (zerber-bench -batched) the loop instead drives
-	// whole queries through the batched v2 path.
+	// whole queries under the default (batched) schedule.
 	stream := log.SingleTermStream()
 	n := len(stream)
 	if n > 4000 {
@@ -85,7 +85,7 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 	}
 	queryQPS := termQPS / paperTermsPerQuery
 
-	// Round-trip savings of the batched v2 protocol: a multi-term
+	// Round-trip savings of the batched schedule: a multi-term
 	// query's serial cost is Σ per-term requests, its batched cost is
 	// the max follow-up depth across terms (one QueryBatch per round).
 	multi := 0

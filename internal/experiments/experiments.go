@@ -72,9 +72,10 @@ type Env struct {
 	Seed uint64
 	// Quiet suppresses progress logging to Logf.
 	Logf func(format string, args ...interface{})
-	// Batched makes search-driving experiments use the batched v2
-	// protocol (client.Search) for their timed loops instead of the
-	// serial v1 path (cmd/zerber-bench -batched).
+	// Batched makes search-driving experiments cover every open list
+	// per round-trip (client.Search's default schedule) in their timed
+	// loops instead of using the serial schedule (cmd/zerber-bench
+	// -batched).
 	Batched bool
 
 	mu      sync.Mutex

@@ -131,6 +131,32 @@ func TestFig09(t *testing.T) {
 	}
 }
 
+// TestTermChoiceTiesDeterministic: a tie between terms goes to the
+// lower TermID on every call, whatever order the map yields them in,
+// so fig08 and fig09 report the same term run after run.
+func TestTermChoiceTiesDeterministic(t *testing.T) {
+	samples := []float64{0.1, 0.2, 0.3}
+	train := map[corpus.TermID][]float64{}
+	control := map[corpus.TermID][]float64{}
+	for _, term := range []corpus.TermID{41, 7, 99, 13, 2} {
+		train[term] = samples[:2]
+		control[term] = samples[:2]
+	}
+	// 7 and 13 tie for best on both rules.
+	for _, term := range []corpus.TermID{7, 13} {
+		train[term] = samples
+		control[term] = samples
+	}
+	for i := 0; i < 50; i++ {
+		if got, n := bestCalibratedTerm(train, control); got != 7 || n != 3 {
+			t.Fatalf("call %d: bestCalibratedTerm = %d (%d samples), want 7 (3)", i, got, n)
+		}
+		if got := bestSampledTerm(train); got != 7 {
+			t.Fatalf("call %d: bestSampledTerm = %d, want 7", i, got)
+		}
+	}
+}
+
 func TestFig10(t *testing.T) {
 	res := runAndRender(t, "fig10")
 	ys := res.Series[0].Y

@@ -64,14 +64,38 @@ func probeTermWithSamples(c *corpus.Corpus, train map[corpus.TermID][]float64, m
 		}
 	}
 	// Fall back to the best-sampled term.
+	best := bestSampledTerm(train)
+	return best, train[best]
+}
+
+// bestSampledTerm returns the term with the most training samples.
+// Ties go to the lower TermID, so the choice does not depend on map
+// iteration order.
+func bestSampledTerm(train map[corpus.TermID][]float64) corpus.TermID {
 	var best corpus.TermID
 	bestN := 0
 	for t, xs := range train {
-		if len(xs) > bestN {
+		if len(xs) > bestN || len(xs) == bestN && t < best {
 			best, bestN = t, len(xs)
 		}
 	}
-	return best, train[best]
+	return best
+}
+
+// bestCalibratedTerm returns the term maximizing the smaller of its
+// train/control sample sizes (a scale-independent choice), and that
+// size. Ties go to the lower TermID, so the choice does not depend on
+// map iteration order.
+func bestCalibratedTerm(train, control map[corpus.TermID][]float64) (corpus.TermID, int) {
+	var term corpus.TermID
+	best := 0
+	for t, tr := range train {
+		n := min(len(tr), len(control[t]))
+		if n > best || n == best && t < term {
+			best, term = n, t
+		}
+	}
+	return term, best
 }
 
 // Fig08ExampleRSTF reproduces Figure 8: the trained transformation
@@ -119,19 +143,7 @@ func Fig09SigmaSelection(e *Env) (*Result, error) {
 	}
 	train := corpus.TrainingScores(sys.Corpus, sys.Split.Train)
 	control := corpus.TrainingScores(sys.Corpus, sys.Split.Control)
-	// Use the best-calibrated term: the one maximizing the smaller of
-	// its train/control sample sizes (scale-independent choice).
-	var term corpus.TermID
-	best := 0
-	for t, tr := range train {
-		n := len(control[t])
-		if len(tr) < n {
-			n = len(tr)
-		}
-		if n > best {
-			best, term = n, t
-		}
-	}
+	term, best := bestCalibratedTerm(train, control)
 	if best < 5 {
 		return nil, fmt.Errorf("fig09: best term has only %d train/control samples", best)
 	}

@@ -231,28 +231,39 @@ func servers() *serverFixture {
 }
 
 // queryCached drives the repeated-query path — the same deep follow-up
-// windows over and over, as hot terms see — against the given server.
+// windows over and over, as hot terms see — against the given server,
+// one window per QueryBatch.
 func queryCached(b *testing.B, s *server.Server, toks []crypt.Token) {
 	ctx := context.Background()
+	queries := followupQueries()
 	// Warm outside the timer (fills the cache on the cached server).
-	for _, r := range followupRounds {
-		if _, err := s.Query(ctx, toks, fixtureList, r.Offset, r.Count); err != nil {
+	for j := range queries {
+		if _, err := s.QueryBatch(ctx, toks, queries[j:j+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range followupRounds {
-			resp, err := s.Query(ctx, toks, fixtureList, r.Offset, r.Count)
+		for j, q := range queries {
+			resps, err := s.QueryBatch(ctx, toks, queries[j:j+1])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(resp.Elements) != r.Count {
-				b.Fatalf("offset %d: %d elements", r.Offset, len(resp.Elements))
+			if len(resps[0].Elements) != q.Count {
+				b.Fatalf("offset %d: %d elements", q.Offset, len(resps[0].Elements))
 			}
 		}
 	}
+}
+
+// followupQueries is followupRounds as sub-queries of fixtureList.
+func followupQueries() []server.ListQuery {
+	queries := make([]server.ListQuery, len(followupRounds))
+	for i, r := range followupRounds {
+		queries[i] = server.ListQuery{List: fixtureList, Offset: r.Offset, Count: r.Count}
+	}
+	return queries
 }
 
 // QueryCachedHit is the repeated-query path with the result cache on:
@@ -624,15 +635,6 @@ type downTransport struct{}
 var errDown = errors.New("microbench: member down")
 
 func (downTransport) Login(context.Context, string) ([]crypt.Token, error) { return nil, errDown }
-func (downTransport) Insert(context.Context, crypt.Token, zerber.ListID, server.StoredElement) error {
-	return errDown
-}
-func (downTransport) Query(context.Context, []crypt.Token, zerber.ListID, int, int) (server.QueryResponse, int, error) {
-	return server.QueryResponse{}, 0, errDown
-}
-func (downTransport) Remove(context.Context, crypt.Token, zerber.ListID, []byte) error {
-	return errDown
-}
 func (downTransport) QueryBatch(context.Context, []crypt.Token, []server.ListQuery) (client.BatchQueryResult, error) {
 	return client.BatchQueryResult{}, errDown
 }
@@ -693,16 +695,16 @@ func replicaSets() *replicaFixture {
 func hedgedQuery(b *testing.B, set *replica.Set) {
 	f := servers()
 	ctx := context.Background()
-	r := followupRounds[0]
+	queries := followupQueries()[:1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, _, err := set.Query(ctx, f.toks, fixtureList, r.Offset, r.Count)
+		res, err := set.QueryBatch(ctx, f.toks, queries)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(resp.Elements) != r.Count {
-			b.Fatalf("%d elements", len(resp.Elements))
+		if len(res.Responses[0].Elements) != queries[0].Count {
+			b.Fatalf("%d elements", len(res.Responses[0].Elements))
 		}
 	}
 }
@@ -820,9 +822,10 @@ func searchBench(b *testing.B, serial bool) {
 	RunSearch(b, f.cl, f.queries, serial)
 }
 
-// SearchSerial is an in-process multi-term search over the serial v1
-// protocol (one round-trip per list request).
+// SearchSerial is an in-process multi-term search under the serial
+// schedule (one list request per round-trip).
 func SearchSerial(b *testing.B) { searchBench(b, true) }
 
-// SearchBatched is the same workload over the batched v2 protocol.
+// SearchBatched is the same workload with every open list in each
+// round-trip.
 func SearchBatched(b *testing.B) { searchBench(b, false) }

@@ -303,20 +303,6 @@ func (s *Set) write(ctx context.Context, op func(ctx context.Context, t client.T
 	return nil
 }
 
-// Insert implements client.Transport.
-func (s *Set) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	return s.write(ctx, func(ctx context.Context, t client.Transport) error {
-		return t.Insert(ctx, tok, list, el)
-	})
-}
-
-// Remove implements client.Transport.
-func (s *Set) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	return s.write(ctx, func(ctx context.Context, t client.Transport) error {
-		return t.Remove(ctx, tok, list, sealed)
-	})
-}
-
 // InsertBatch implements client.Transport.
 func (s *Set) InsertBatch(ctx context.Context, tok crypt.Token, ops []server.InsertOp) error {
 	return s.write(ctx, func(ctx context.Context, t client.Transport) error {
@@ -337,22 +323,6 @@ func (s *Set) Login(ctx context.Context, user string) ([]crypt.Token, error) {
 	return raceRead(ctx, s, func(ctx context.Context, t client.Transport) ([]crypt.Token, error) {
 		return t.Login(ctx, user)
 	})
-}
-
-// Query implements client.Transport.
-func (s *Set) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	type qres struct {
-		resp server.QueryResponse
-		n    int
-	}
-	r, err := raceRead(ctx, s, func(ctx context.Context, t client.Transport) (qres, error) {
-		resp, n, err := t.Query(ctx, toks, list, offset, count)
-		if err == nil {
-			err = s.checkRoot(list, resp.Proof)
-		}
-		return qres{resp, n}, err
-	})
-	return r.resp, r.n, err
 }
 
 // QueryBatch implements client.Transport. Proved sub-query answers

@@ -37,7 +37,7 @@ func seedInto(t *testing.T, s *server.Server, lists, perList int) {
 				TRS:    float64(i),
 				Group:  i % 2,
 			}
-			if err := s.Insert(context.Background(), toks[i%2], zerber.ListID(l), el); err != nil {
+			if err := insertOne(context.Background(), s, toks[i%2], zerber.ListID(l), el); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -53,19 +53,28 @@ func login(t *testing.T, s *server.Server) []crypt.Token {
 	return toks
 }
 
+// inserter is what insertOne needs: a server or any transport.
+type inserter interface {
+	InsertBatch(context.Context, crypt.Token, []server.InsertOp) error
+}
+
+// insertOne and queryOne run one operation as a batch of one.
+func insertOne(ctx context.Context, w inserter, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
+	return w.InsertBatch(ctx, tok, []server.InsertOp{{List: list, Element: el}})
+}
+
+func queryOne(ctx context.Context, t client.Transport, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, error) {
+	res, err := t.QueryBatch(ctx, toks, []server.ListQuery{{List: list, Offset: offset, Count: count}})
+	if err != nil {
+		return server.QueryResponse{}, err
+	}
+	return res.Responses[0], nil
+}
+
 // faultTransport fails every operation with a transport-style error.
 type faultTransport struct{ err error }
 
 func (f faultTransport) Login(context.Context, string) ([]crypt.Token, error) { return nil, f.err }
-func (f faultTransport) Insert(context.Context, crypt.Token, zerber.ListID, server.StoredElement) error {
-	return f.err
-}
-func (f faultTransport) Query(context.Context, []crypt.Token, zerber.ListID, int, int) (server.QueryResponse, int, error) {
-	return server.QueryResponse{}, 0, f.err
-}
-func (f faultTransport) Remove(context.Context, crypt.Token, zerber.ListID, []byte) error {
-	return f.err
-}
 func (f faultTransport) QueryBatch(context.Context, []crypt.Token, []server.ListQuery) (client.BatchQueryResult, error) {
 	return client.BatchQueryResult{}, f.err
 }
@@ -83,15 +92,6 @@ type stallTransport struct {
 	after time.Duration
 }
 
-func (st stallTransport) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	select {
-	case <-time.After(st.after):
-		return st.Transport.Query(ctx, toks, list, offset, count)
-	case <-ctx.Done():
-		return server.QueryResponse{}, 0, ctx.Err()
-	}
-}
-
 func (st stallTransport) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
 	select {
 	case <-time.After(st.after):
@@ -105,7 +105,7 @@ func (st stallTransport) QueryBatch(ctx context.Context, toks []crypt.Token, que
 // mutation.
 type failWrites struct{ client.Local }
 
-func (f failWrites) Insert(context.Context, crypt.Token, zerber.ListID, server.StoredElement) error {
+func (f failWrites) InsertBatch(context.Context, crypt.Token, []server.InsertOp) error {
 	return errors.New("replica write lost")
 }
 
@@ -125,11 +125,11 @@ func TestFailoverRead(t *testing.T) {
 	}
 	set.SetHedgeDelay(time.Minute)
 	toks := login(t, repSrv)
-	got, _, err := set.Query(ctx, toks, 0, 0, 8)
+	got, err := queryOne(ctx, set, toks, 0, 0, 8)
 	if err != nil {
 		t.Fatalf("query with a dead primary and a live replica: %v", err)
 	}
-	want, err := repSrv.Query(ctx, toks, 0, 0, 8)
+	want, err := queryOne(ctx, client.Local{S: repSrv}, toks, 0, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestHedgedReadIdentity(t *testing.T) {
 	}
 	set.SetHedgeDelay(2 * time.Millisecond)
 	toks := login(t, priSrv)
-	got, _, err := set.Query(ctx, toks, 1, 0, 8)
+	got, err := queryOne(ctx, set, toks, 1, 0, 8)
 	if err != nil {
 		t.Fatalf("hedged query: %v", err)
 	}
-	want, err := repSrv.Query(ctx, toks, 1, 0, 8)
+	want, err := queryOne(ctx, client.Local{S: repSrv}, toks, 1, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,11 @@ func TestWriteFansOutToReplicas(t *testing.T) {
 	}
 	toks := login(t, pri)
 	el := server.StoredElement{Sealed: []byte("fan"), TRS: 1, Group: 0}
-	if err := set.Insert(ctx, toks[0], 5, el); err != nil {
+	if err := insertOne(ctx, set, toks[0], 5, el); err != nil {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*server.Server{"primary": pri, "replica": rep} {
-		resp, err := s.Query(ctx, login(t, s), 5, 0, 10)
+		resp, err := queryOne(ctx, client.Local{S: s}, login(t, s), 5, 0, 10)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -216,7 +216,7 @@ func TestReplicaWriteFaultMarksStale(t *testing.T) {
 	toks := login(t, pri)
 	// The write succeeds (the primary accepted it) even though the
 	// replica lost it.
-	if err := set.Insert(ctx, toks[0], 0, server.StoredElement{Sealed: []byte("x"), TRS: 1, Group: 0}); err != nil {
+	if err := insertOne(ctx, set, toks[0], 0, server.StoredElement{Sealed: []byte("x"), TRS: 1, Group: 0}); err != nil {
 		t.Fatalf("a replica fault must not fail the write: %v", err)
 	}
 	st := set.Stats()
@@ -228,7 +228,7 @@ func TestReplicaWriteFaultMarksStale(t *testing.T) {
 	// (which holds the element the replica lost).
 	set.SetHedgeDelay(0)
 	for i := 0; i < 20; i++ {
-		resp, _, err := set.Query(ctx, toks, 0, 0, 10)
+		resp, err := queryOne(ctx, set, toks, 0, 0, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestDeterministicAnswerWinsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	toks := login(t, pri)
-	_, _, err = set.Query(ctx, toks, 99, 0, 10)
+	_, err = queryOne(ctx, set, toks, 99, 0, 10)
 	if !errors.Is(err, server.ErrUnknownList) {
 		t.Fatalf("err = %v, want ErrUnknownList", err)
 	}
@@ -267,7 +267,7 @@ func TestPrimaryDemotionAfterFaultRun(t *testing.T) {
 	set.SetHedgeDelay(time.Minute)
 	toks := login(t, rep)
 	for i := 0; i < DemoteAfter; i++ {
-		if _, _, err := set.Query(ctx, toks, 0, 0, 4); err != nil {
+		if _, err := queryOne(ctx, set, toks, 0, 0, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestPrimaryDemotionAfterFaultRun(t *testing.T) {
 	// Demoted: the replica is tried first, so the next read involves no
 	// failover and no hedge win.
 	before := set.Stats()
-	if _, _, err := set.Query(ctx, toks, 0, 0, 4); err != nil {
+	if _, err := queryOne(ctx, set, toks, 0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	after := set.Stats()
@@ -292,7 +292,7 @@ func TestAllMembersFaulted(t *testing.T) {
 		t.Fatal(err)
 	}
 	set.SetHedgeDelay(0)
-	_, _, err = set.Query(context.Background(), nil, 0, 0, 1)
+	_, err = queryOne(context.Background(), set, nil, 0, 0, 1)
 	if err == nil {
 		t.Fatal("a read with every member down reported success")
 	}
@@ -339,7 +339,7 @@ func TestResync(t *testing.T) {
 			}
 			toks := login(t, pri)
 			// One lost write marks the replica stale.
-			if err := set.Insert(ctx, toks[0], 0, server.StoredElement{Sealed: []byte("lost"), TRS: 9, Group: 0}); err != nil {
+			if err := insertOne(ctx, set, toks[0], 0, server.StoredElement{Sealed: []byte("lost"), TRS: 9, Group: 0}); err != nil {
 				t.Fatal(err)
 			}
 			if set.Stats().Stale != 1 {

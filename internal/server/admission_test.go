@@ -92,9 +92,9 @@ func TestRateLimiterIsPerUser(t *testing.T) {
 	}
 }
 
-// TestRateLimitHTTP asserts the 429 wire contract on single-op and
-// batch endpoints: status, v2 code, and a Retry-After header on every
-// path.
+// TestRateLimitHTTP asserts the 429 wire contract on the login and
+// batch endpoints: status, error code, and a Retry-After header on
+// every path.
 func TestRateLimitHTTP(t *testing.T) {
 	s := New(secret, time.Hour)
 	s.RegisterUser("alice", 0)
@@ -126,23 +126,21 @@ func TestRateLimitHTTP(t *testing.T) {
 		if err != nil || ra < 1 {
 			t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
 		}
-		if wantCode != "" {
-			var env ErrorV2
-			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-				t.Fatal(err)
-			}
-			if env.Code != wantCode {
-				t.Fatalf("code = %q, want %q", env.Code, wantCode)
-			}
+		var env ErrorV2
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Code != wantCode {
+			t.Fatalf("code = %q, want %q", env.Code, wantCode)
 		}
 	}
 
 	// Spend the single burst token, then every path must answer 429.
-	resp = post(t, ts, "/v1/query", QueryRequest{Tokens: lr.Tokens, List: 1, Offset: 0, Count: 1})
+	resp = post(t, ts, "/v2/query", QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 1, Count: 1}}})
 	resp.Body.Close() // 404 unknown list — the token was still spent
 
-	resp = post(t, ts, "/v1/query", QueryRequest{Tokens: lr.Tokens, List: 1, Offset: 0, Count: 1})
-	checkLimited(t, resp, "")
+	resp = post(t, ts, "/v1/login", LoginRequest{User: "alice"})
+	checkLimited(t, resp, CodeRateLimited)
 
 	resp = post(t, ts, "/v2/query", QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 1, Count: 1}}})
 	checkLimited(t, resp, CodeRateLimited)
@@ -159,7 +157,7 @@ func TestRateLimitHTTP(t *testing.T) {
 
 	// At 0.25 ops/s a dry bucket needs ~4s for the next token; the
 	// hint must say so rather than defaulting to 1.
-	resp = post(t, ts, "/v1/query", QueryRequest{Tokens: lr.Tokens, List: 1, Offset: 0, Count: 1})
+	resp = post(t, ts, "/v2/query", QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 1, Count: 1}}})
 	defer resp.Body.Close()
 	if ra, _ := strconv.Atoi(resp.Header.Get("Retry-After")); ra < 2 {
 		t.Fatalf("Retry-After = %q, want the limiter's own wait (>= 2s)", resp.Header.Get("Retry-After"))
@@ -180,7 +178,7 @@ func TestLoadShedHTTP(t *testing.T) {
 	pr, pw := io.Pipe()
 	stuck := make(chan error, 1)
 	go func() {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", pr)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/query", pr)
 		if err != nil {
 			stuck <- err
 			return

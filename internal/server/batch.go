@@ -1,11 +1,11 @@
 package server
 
-// Batched (v2) operations: the progressive protocol of Section 5.2 is
-// inherently multi-round, and a multi-term query runs one follow-up
-// loop per term. v1 forced every round of every term onto its own
-// round-trip; the batch API lets a client cover every still-open list
-// with a single exchange per round, and lets writers upload a whole
-// document's posting elements at once. Sub-queries of one batch are
+// Batched operations, the server's only request shape: the progressive
+// protocol of Section 5.2 is inherently multi-round, and a multi-term
+// query runs one follow-up loop per term. A batch lets a client cover
+// every still-open list with a single exchange per round, and lets
+// writers upload a whole document's posting elements at once; a
+// single operation is a batch of one. Sub-queries of one batch are
 // executed concurrently — they only take read views of the backend,
 // so the fan-out is safe — and a canceled context or a failing
 // sub-query aborts the siblings that have not started yet.
@@ -89,8 +89,8 @@ func checkBatchSize(n int) error {
 }
 
 // QueryBatch answers every sub-query under one token validation,
-// executing them concurrently (bounded by GOMAXPROCS). Responses are
-// returned in request order.
+// executing them concurrently (bounded by GOMAXPROCS; a batch of one
+// runs inline). Responses are returned in request order.
 //
 // The context is checked between sub-queries: canceling it stops
 // launching new ones and the batch fails with the context's error. A
@@ -120,6 +120,20 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 	defer s.met.Load().endRound(len(queries), now)
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if len(queries) == 1 {
+		// A lone sub-query (a serial round, a page) runs inline: no
+		// goroutine, semaphore or cancel context. Same precedence as
+		// below: caller cancellation first, then the indexed failure.
+		q := queries[0]
+		resp, err := s.queryAllowed(allowed, q.List, q.Offset, q.Count, q.IfVersion, q.Proof)
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		if err != nil {
+			return nil, &BatchError{Index: 0, Err: err}
+		}
+		return []QueryResponse{resp}, nil
 	}
 	// subCtx aborts siblings on the first sub-query failure; the
 	// caller's ctx aborting flows through it too.
@@ -176,8 +190,11 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 }
 
 // InsertBatch stores a batch of sealed posting elements under one
-// token. The whole batch is validated (payloads present, token covers
-// every element's group) before any element is applied, so a bad
+// token, which must cover every element's group (Section 5: "The
+// index server authenticates the user, checks his group membership
+// and accepts the update if appropriate"). The whole batch is
+// validated (payloads present, token covers every element's group)
+// before any element is applied, so a bad
 // operation fails the batch atomically with its index. The validated
 // batch is then handed to the backend as one operation — on a durable
 // store that is a single batched WAL record and (under group commit)

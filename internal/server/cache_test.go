@@ -9,10 +9,24 @@ import (
 	"time"
 
 	"zerberr/internal/cache"
+	"zerberr/internal/crypt"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
 )
+
+// insertOne and queryOne run one operation as a batch of one.
+func insertOne(ctx context.Context, s *server.Server, tok crypt.Token, list zerber.ListID, e server.StoredElement) error {
+	return s.InsertBatch(ctx, tok, []server.InsertOp{{List: list, Element: e}})
+}
+
+func queryOne(ctx context.Context, s *server.Server, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, error) {
+	resps, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: list, Offset: offset, Count: count}})
+	if err != nil {
+		return server.QueryResponse{}, err
+	}
+	return resps[0], nil
+}
 
 // oracleWindow is the shadow oracle: an independent filter-scan over
 // the fully materialized rank-ordered list (the pre-rework read path),
@@ -130,7 +144,7 @@ func TestCachedQueryDifferential(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				list := zerber.ListID(rng.Intn(lists))
 				offset, count := rng.Intn(60), 1+rng.Intn(30)
-				resp, err := s.Query(ctx, toks, list, offset, count)
+				resp, err := queryOne(ctx, s, toks, list, offset, count)
 				if err != nil {
 					errc <- fmt.Errorf("reader %d: cached query: %w", r, err)
 					return
@@ -178,7 +192,7 @@ func TestCachedQueryDifferential(t *testing.T) {
 			for _, count := range []int{1, 10, 64} {
 				want, wantExh := oracleWindow(t, backend, list, allowed, offset, count)
 				for pass := 0; pass < 2; pass++ {
-					resp, err := s.Query(ctx, toks, list, offset, count)
+					resp, err := queryOne(ctx, s, toks, list, offset, count)
 					if err != nil {
 						t.Fatalf("list %d offset %d count %d pass %d: %v", list, offset, count, pass, err)
 					}
@@ -211,7 +225,7 @@ func TestQueryBatchIfVersion(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		el := server.StoredElement{Sealed: []byte(fmt.Sprintf("e%02d", i)), TRS: float64(i) / 20, Group: i % 2}
-		if err := s.Insert(ctx, toks[i%2], 1, el); err != nil {
+		if err := insertOne(ctx, s, toks[i%2], 1, el); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +251,7 @@ func TestQueryBatchIfVersion(t *testing.T) {
 	// Mutate (group 1 — outside or inside visibility, the per-list
 	// version bumps either way), then the same conditional must serve
 	// the full window at the new version.
-	if err := s.Insert(ctx, toks[1], 1, server.StoredElement{Sealed: []byte("fresh"), TRS: 0.99, Group: 1}); err != nil {
+	if err := insertOne(ctx, s, toks[1], 1, server.StoredElement{Sealed: []byte("fresh"), TRS: 0.99, Group: 1}); err != nil {
 		t.Fatal(err)
 	}
 	cond2, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 5, IfVersion: &ver}})
@@ -263,7 +277,7 @@ func TestStatsV2CacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(ctx, toks[0], 1, server.StoredElement{Sealed: []byte("x"), TRS: 0.5, Group: 0}); err != nil {
+	if err := insertOne(ctx, s, toks[0], 1, server.StoredElement{Sealed: []byte("x"), TRS: 0.5, Group: 0}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.StatsV2(ctx)
@@ -275,7 +289,7 @@ func TestStatsV2CacheCounters(t *testing.T) {
 	}
 	s.SetCache(cache.New(1 << 20))
 	for i := 0; i < 3; i++ {
-		if _, err := s.Query(ctx, toks, 1, 0, 5); err != nil {
+		if _, err := queryOne(ctx, s, toks, 1, 0, 5); err != nil {
 			t.Fatal(err)
 		}
 	}

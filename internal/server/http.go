@@ -9,13 +9,11 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
-	"zerberr/internal/zerber"
 )
 
 // HTTP transport: a thin layer over the in-process API, so the index
@@ -25,23 +23,17 @@ import (
 // (or a cmd/zerberd drain timeout) cancels the server-side work it
 // started; such a request is answered 499 and logged at Debug.
 //
-// v1 — one operation per round-trip, kept for compatibility:
+// Every operation is a batch (a single operation is a batch of one),
+// and every error, on every endpoint, is the structured {code, error,
+// index?} envelope ErrorV2 (see DESIGN.md "Wire protocol v2" for the
+// error-code registry). The three batch endpoints speak two codecs: a
+// request with Content-Type FrameContentType carries a binary frame
+// (frame.go) and is answered with one — what client.HTTP always sends
+// — and any other request is JSON, for curl and operators. Bodies are
+// capped at MaxRequestBody. Login, /v2/stats and the admin plane are
+// JSON only.
 //
 //	POST /v1/login   {"user": "john"}                     -> {"tokens": [...]}
-//	POST /v1/insert  {"token": ..., "list": 3, "element": ...} -> {}
-//	POST /v1/query   {"tokens": [...], "list": 3,
-//	                  "offset": 0, "count": 10}           -> QueryResponse
-//	POST /v1/remove  {"token": ..., "list": 3, "sealed": ...} -> {}
-//	GET  /v1/stats                                        -> {"lists":n,"elements":m}
-//
-// v2 — batched operations with structured {code, error} envelopes
-// (see DESIGN.md "Wire protocol v2" for the error-code registry). The
-// three batch endpoints speak two codecs: a request with Content-Type
-// FrameContentType carries a binary frame (frame.go) and is answered
-// with one — what client.HTTP always sends — and any other request is
-// JSON, for curl and operators. Bodies are capped at MaxRequestBody.
-// Error envelopes, /v1/*, /v2/stats and the admin plane are JSON only.
-//
 //	POST /v2/query   {"tokens": [...], "queries": [{list,offset,count}...]}
 //	                                                      -> {"responses": [QueryResponse...]}
 //	POST /v2/insert  {"token": ..., "ops": [{list,element}...]} -> {}
@@ -56,34 +48,6 @@ type LoginRequest struct {
 // LoginResponse carries the issued group tokens.
 type LoginResponse struct {
 	Tokens []crypt.Token `json:"tokens"`
-}
-
-// InsertRequest is the /v1/insert payload.
-type InsertRequest struct {
-	Token   crypt.Token   `json:"token"`
-	List    zerber.ListID `json:"list"`
-	Element StoredElement `json:"element"`
-}
-
-// RemoveRequest is the /v1/remove payload.
-type RemoveRequest struct {
-	Token  crypt.Token   `json:"token"`
-	List   zerber.ListID `json:"list"`
-	Sealed []byte        `json:"sealed"`
-}
-
-// QueryRequest is the /v1/query payload.
-type QueryRequest struct {
-	Tokens []crypt.Token `json:"tokens"`
-	List   zerber.ListID `json:"list"`
-	Offset int           `json:"offset"`
-	Count  int           `json:"count"`
-}
-
-// StatsResponse is the /v1/stats payload.
-type StatsResponse struct {
-	Lists    int `json:"lists"`
-	Elements int `json:"elements"`
 }
 
 // QueryBatchRequest is the /v2/query payload.
@@ -136,21 +100,17 @@ type StatsV2Response struct {
 	Ops *OpsStats `json:"ops,omitempty"`
 }
 
-// errorBody is the v1 JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// ErrorV2 is the v2 structured error envelope: a machine-readable
-// code from the registry below, the human-readable message, and — for
-// batch failures — the index of the offending operation.
+// ErrorV2 is the structured error envelope every endpoint answers
+// errors with: a machine-readable code from the registry below, the
+// human-readable message, and — for batch failures — the index of the
+// offending operation.
 type ErrorV2 struct {
 	Code  string `json:"code"`
 	Error string `json:"error"`
 	Index *int   `json:"index,omitempty"`
 }
 
-// v2 error codes. The HTTP client transport maps them back onto the
+// Error codes. The HTTP client transport maps them back onto the
 // sentinel errors, so in-process and remote callers observe identical
 // error identities.
 const (
@@ -166,7 +126,7 @@ const (
 	CodeInternal     = "internal"
 )
 
-// ErrorCode maps a server error onto its v2 wire code.
+// ErrorCode maps a server error onto its wire code.
 func ErrorCode(err error) string {
 	switch {
 	case errors.Is(err, ErrTokenExpired):
@@ -242,48 +202,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, LoginResponse{Tokens: toks})
 	})
-	handle("POST", "/v1/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req InsertRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := s.Insert(r.Context(), req.Token, req.List, req.Element); err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
-	})
-	handle("POST", "/v1/remove", func(w http.ResponseWriter, r *http.Request) {
-		var req RemoveRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := s.Remove(r.Context(), req.Token, req.List, req.Sealed); err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
-	})
-	handle("POST", "/v1/query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		resp, err := s.Query(r.Context(), req.Tokens, req.List, req.Offset, req.Count)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	handle("GET", "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.StatsV2(r.Context())
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, StatsResponse{Lists: st.Lists, Elements: st.Elements})
-	})
 	handle("POST", "/v2/query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryBatchRequest
 		frame, ok := decodeBatch(w, r, &req)
@@ -292,7 +210,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		resps, err := s.QueryBatch(r.Context(), req.Tokens, req.Queries)
 		if err != nil {
-			writeErrV2(w, r, err)
+			writeErr(w, r, err)
 			return
 		}
 		resp := QueryBatchResponse{Responses: resps}
@@ -309,7 +227,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		if err := s.InsertBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErrV2(w, r, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeEmpty(w, frame)
@@ -321,7 +239,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		if err := s.RemoveBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErrV2(w, r, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeEmpty(w, frame)
@@ -336,7 +254,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		st, err := stats(r.Context())
 		if err != nil {
-			writeErrV2(w, r, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -399,11 +317,7 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 				m.shed.Inc()
 			}
 			err := withRetryHint(fmt.Errorf("%w: %d requests already in flight", ErrOverloaded, max), time.Second)
-			if strings.HasPrefix(endpoint, "/v2") {
-				writeErrV2(rec, r, err)
-			} else {
-				writeErr(rec, r, err)
-			}
+			writeErr(rec, r, err)
 		} else {
 			ctx := obs.WithLogger(obs.WithRequestID(r.Context(), id), logger)
 			next(rec, r.WithContext(ctx))
@@ -432,16 +346,6 @@ const (
 	httpRequestsHelp = "HTTP requests by endpoint and status code"
 )
 
-func decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-		return false
-	}
-	return true
-}
-
 // MaxRequestBody caps a /v2 batch request body in either codec. It
 // is derived from MaxBatchOps and a sealed-payload ceiling of
 // maxSealedBytes (~20× a GCM-sealed element): each operation may take
@@ -463,7 +367,7 @@ type frameDecoder interface {
 	UnmarshalFrame([]byte) error
 }
 
-// decodeBatch decodes a v2 batch request body into dst, in the codec
+// decodeBatch decodes a batch request body into dst, in the codec
 // the Content-Type selects and bounded by MaxRequestBody. frame reports
 // whether the request was a binary frame, so the answer can use the
 // same codec. On failure it has answered bad_request and ok is false.
@@ -540,7 +444,9 @@ func writeEmpty(w http.ResponseWriter, frame bool) {
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
-func decodeV2(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
+// decode reads a JSON request body into dst. On failure it has
+// answered bad_request and returns false.
+func decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -550,8 +456,8 @@ func decodeV2(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	return true
 }
 
-// statusFor maps a server error onto its HTTP status (shared by the
-// v1 and v2 error writers). A context error on a request whose own
+// statusFor maps a server error onto its HTTP status (writeErr). A
+// context error on a request whose own
 // context is done is the client's doing, not the server's.
 func statusFor(r *http.Request, err error) int {
 	switch {
@@ -575,9 +481,9 @@ func statusFor(r *http.Request, err error) int {
 
 // setRetryAfter adds the Retry-After header on admission rejections.
 // The value is the server's own hint rounded up to whole seconds (the
-// header's granularity), minimum 1. Every 429/503 path — single-op,
-// batch, shed — funnels through writeErr/writeErrV2, so every such
-// response carries the header.
+// header's granularity), minimum 1. Every 429/503 path — login,
+// batch, shed — funnels through writeErr, so every such response
+// carries the header.
 func setRetryAfter(w http.ResponseWriter, err error, status int) {
 	if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 		return
@@ -592,12 +498,6 @@ func setRetryAfter(w http.ResponseWriter, err error, status int) {
 }
 
 func writeErr(w http.ResponseWriter, r *http.Request, err error) {
-	status := statusFor(r, err)
-	setRetryAfter(w, err, status)
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-func writeErrV2(w http.ResponseWriter, r *http.Request, err error) {
 	env := ErrorV2{Code: ErrorCode(err), Error: err.Error()}
 	var be *BatchError
 	if errors.As(err, &be) {

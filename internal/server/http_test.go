@@ -44,15 +44,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	// Insert two elements.
 	for i, trs := range []float64{0.3, 0.8} {
-		r := post(t, ts, "/v1/insert", InsertRequest{
-			Token: lr.Tokens[0],
-			List:  4,
+		r := post(t, ts, "/v2/insert", InsertBatchRequest{Token: lr.Tokens[0], Ops: []InsertOp{{
+			List: 4,
 			Element: StoredElement{
 				Sealed: []byte{byte(i), 1, 2, 3},
 				TRS:    trs,
 				Group:  0,
 			},
-		})
+		}}})
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("insert status %d", r.StatusCode)
 		}
@@ -60,15 +59,19 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Query them back, ranked.
-	r := post(t, ts, "/v1/query", QueryRequest{Tokens: lr.Tokens, List: 4, Offset: 0, Count: 10})
+	r := post(t, ts, "/v2/query", QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 4, Offset: 0, Count: 10}}})
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d", r.StatusCode)
 	}
-	var qr QueryResponse
-	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
+	var qbr QueryBatchResponse
+	if err := json.NewDecoder(r.Body).Decode(&qbr); err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
+	if len(qbr.Responses) != 1 {
+		t.Fatalf("%d responses for one query", len(qbr.Responses))
+	}
+	qr := qbr.Responses[0]
 	if len(qr.Elements) != 2 || !qr.Exhausted {
 		t.Fatalf("query response %+v", qr)
 	}
@@ -77,11 +80,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Stats.
-	sr, err := http.Get(ts.URL + "/v1/stats")
+	sr, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st StatsResponse
+	var st StatsV2Response
 	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -101,26 +104,28 @@ func TestHTTPErrorMapping(t *testing.T) {
 		path   string
 		body   interface{}
 		status int
+		code   string
 	}{
-		{"/v1/login", LoginRequest{User: "ghost"}, http.StatusNotFound},
-		{"/v1/query", QueryRequest{List: 9, Count: 5}, http.StatusNotFound},
-		{"/v1/query", QueryRequest{List: 9, Count: -1}, http.StatusBadRequest},
-		{"/v1/insert", InsertRequest{List: 1}, http.StatusBadRequest},
+		{"/v1/login", LoginRequest{User: "ghost"}, http.StatusNotFound, CodeUnknownUser},
+		{"/v2/query", QueryBatchRequest{Queries: []ListQuery{{List: 9, Count: 5}}}, http.StatusNotFound, CodeUnknownList},
+		{"/v2/query", QueryBatchRequest{Queries: []ListQuery{{List: 9, Count: -1}}}, http.StatusBadRequest, CodeBadRequest},
+		{"/v2/insert", InsertBatchRequest{}, http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		r := post(t, ts, tc.path, tc.body)
 		if r.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.path, r.StatusCode, tc.status)
 		}
-		var eb errorBody
-		if err := json.NewDecoder(r.Body).Decode(&eb); err == nil && r.StatusCode != http.StatusOK && eb.Error == "" {
-			t.Errorf("%s: empty error body", tc.path)
+		// Every endpoint, /v1/login included, answers the one envelope.
+		var env ErrorV2
+		if err := json.NewDecoder(r.Body).Decode(&env); err != nil || env.Error == "" || env.Code != tc.code {
+			t.Errorf("%s: envelope %+v (decode err %v), want code %q", tc.path, env, err, tc.code)
 		}
 		r.Body.Close()
 	}
 
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(ts.URL+"/v2/query", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +143,36 @@ func TestHTTPErrorMapping(t *testing.T) {
 	lr.Body.Close()
 	forged := login.Tokens[0]
 	forged.Group = 5
-	r := post(t, ts, "/v1/insert", InsertRequest{
-		Token:   forged,
+	r := post(t, ts, "/v2/insert", InsertBatchRequest{Token: forged, Ops: []InsertOp{{
 		List:    1,
 		Element: StoredElement{Sealed: []byte{1}, TRS: 0.1, Group: 5},
-	})
+	}}})
 	if r.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("forged token status %d, want 401", r.StatusCode)
 	}
 	r.Body.Close()
+}
+
+// TestV1SingleOpRoutesGone pins the batch-only protocol: the v1
+// single-operation routes are not served, only /v1/login remains.
+func TestV1SingleOpRoutesGone(t *testing.T) {
+	s := New(secret, time.Hour)
+	s.RegisterUser("john", 0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/v1/query", "/v1/insert", "/v1/remove"} {
+		r := post(t, ts, path, struct{}{})
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, r.StatusCode)
+		}
+	}
+	r, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/stats: status %d, want 404", r.StatusCode)
+	}
 }

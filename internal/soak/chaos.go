@@ -248,19 +248,23 @@ func (c *chaos) identityCheck(ctx context.Context) {
 }
 
 // pageList downloads one list's full visible content from one member
-// as a set of sealed payloads. A list the member never created (all
-// oracle entries uncertain) reads as empty.
+// as a set of sealed payloads, one window per QueryBatch. A list the
+// member never created (all oracle entries uncertain) reads as empty.
 func pageList(ctx context.Context, t client.Transport, toks []crypt.Token, list zerber.ListID) (map[string]bool, error) {
 	served := make(map[string]bool)
 	offset := 0
 	for {
-		resp, _, err := t.Query(ctx, toks, list, offset, 4096)
+		res, err := t.QueryBatch(ctx, toks, []server.ListQuery{{List: list, Offset: offset, Count: 4096}})
 		if errors.Is(err, server.ErrUnknownList) {
 			return served, nil
 		}
 		if err != nil {
 			return nil, err
 		}
+		if len(res.Responses) != 1 {
+			return nil, fmt.Errorf("soak: list %d: %d responses for one query", list, len(res.Responses))
+		}
+		resp := res.Responses[0]
 		for _, el := range resp.Elements {
 			served[string(el.Sealed)] = true
 		}

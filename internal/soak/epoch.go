@@ -25,8 +25,9 @@ import (
 //
 // The checker is a client.Transport, so every soak client and the
 // identity check observe through it without any of them cooperating.
+// Login and the writes pass straight through to the wrapped transport.
 type epochChecker struct {
-	t client.Transport
+	client.Transport
 
 	mu   sync.Mutex
 	seen map[windowKey]uint64 // -> content hash
@@ -51,7 +52,7 @@ type windowKey struct {
 }
 
 func newEpochChecker(t client.Transport) *epochChecker {
-	return &epochChecker{t: t, seen: make(map[windowKey]uint64)}
+	return &epochChecker{Transport: t, seen: make(map[windowKey]uint64)}
 }
 
 // contentHash fingerprints a served window's visible content.
@@ -111,43 +112,9 @@ func (c *epochChecker) samples() []string {
 	return append([]string(nil), c.sample...)
 }
 
-// Login implements client.Transport.
-func (c *epochChecker) Login(ctx context.Context, user string) ([]crypt.Token, error) {
-	return c.t.Login(ctx, user)
-}
-
-// Insert implements client.Transport.
-func (c *epochChecker) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	return c.t.Insert(ctx, tok, list, el)
-}
-
-// Remove implements client.Transport.
-func (c *epochChecker) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	return c.t.Remove(ctx, tok, list, sealed)
-}
-
-// InsertBatch implements client.Transport.
-func (c *epochChecker) InsertBatch(ctx context.Context, tok crypt.Token, ops []server.InsertOp) error {
-	return c.t.InsertBatch(ctx, tok, ops)
-}
-
-// RemoveBatch implements client.Transport.
-func (c *epochChecker) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.RemoveOp) error {
-	return c.t.RemoveBatch(ctx, tok, ops)
-}
-
-// Query implements client.Transport.
-func (c *epochChecker) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	resp, n, err := c.t.Query(ctx, toks, list, offset, count)
-	if err == nil {
-		c.observe(server.ListQuery{List: list, Offset: offset, Count: count}, resp)
-	}
-	return resp, n, err
-}
-
 // QueryBatch implements client.Transport.
 func (c *epochChecker) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
-	res, err := c.t.QueryBatch(ctx, toks, queries)
+	res, err := c.Transport.QueryBatch(ctx, toks, queries)
 	if err == nil && len(res.Responses) == len(queries) {
 		for i, resp := range res.Responses {
 			c.observe(queries[i], resp)
